@@ -8,7 +8,6 @@ substrate show up even when the experiment-level benchmarks still pass.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.datasets.registry import load_dataset
@@ -16,7 +15,7 @@ from repro.graph.generators import zipf_labeled_graph
 from repro.histogram.builder import domain_frequencies, make_histogram
 from repro.ordering.registry import make_ordering
 from repro.paths.catalog import SelectivityCatalog
-from repro.paths.enumeration import compute_selectivities, compute_selectivity_vector
+from repro.paths.enumeration import compute_selectivity_nonzeros, compute_selectivity_vector
 
 
 def test_catalog_build_k3(benchmark):
@@ -51,26 +50,15 @@ def test_columnar_build_sparse_k6(benchmark, sparse_bench_graph):
     assert vector.size == 299_592
 
 
-def test_dict_build_sparse_k6(benchmark, sparse_bench_graph):
-    """The legacy dict builder over the same domain (the PR 1 baseline)."""
-    selectivities = benchmark.pedantic(
-        compute_selectivities,
+def test_nonzeros_build_sparse_k6(benchmark, sparse_bench_graph):
+    """The sparse (O(nnz)) form of the same build."""
+    indices, counts = benchmark.pedantic(
+        compute_selectivity_nonzeros,
         args=(sparse_bench_graph, 6),
         rounds=1,
         iterations=1,
     )
-    assert len(selectivities) == 299_592
-
-
-def test_columnar_build_process_backend(benchmark, sparse_bench_graph):
-    vector = benchmark.pedantic(
-        compute_selectivity_vector,
-        args=(sparse_bench_graph, 6),
-        kwargs={"backend": "process", "workers": 2},
-        rounds=1,
-        iterations=1,
-    )
-    assert np.array_equal(vector, compute_selectivity_vector(sparse_bench_graph, 6))
+    assert indices.size == counts.size > 0
 
 
 @pytest.mark.parametrize("kind", ["equi-width", "equi-depth", "maxdiff", "end-biased", "v-optimal"])

@@ -81,13 +81,12 @@ def test_session_warm_build(benchmark, bench_graphs, tmp_path):
     assert session.stats.histogram_from_cache
 
 
-def test_parallel_catalog_build(benchmark, bench_graphs):
+def test_catalog_build(benchmark, bench_graphs):
     from repro.paths.catalog import SelectivityCatalog
 
     catalog = benchmark.pedantic(
         SelectivityCatalog.from_graph,
         args=(bench_graphs["moreno-health"], 3),
-        kwargs={"workers": 4},
         rounds=1,
         iterations=1,
     )

@@ -5,9 +5,9 @@ The CI ``bench-regression`` job reruns ``run_all.py --quick`` and then calls
 this script with the *committed* document as the baseline and the fresh one
 as the current run.  Two things are checked:
 
-* every floor **recorded in the baseline** (batch ≥ 10×, columnar ≥ 3×,
-  npz ≤ 25%, coalesced ≥ 5×, delta ≥ 5×, sparse build ≥ 2×, matrix-chain
-  build ≥ 2× the sparse DFS, sparse artifact ≤ 5%, sparse serve RSS
+* every floor **recorded in the baseline** (batch ≥ 10×, npz ≤ 25%,
+  dense cold-build peak ≤ 16 MiB traced, coalesced ≥ 5×, delta ≥ 5×,
+  sparse build ≥ 2×, sparse artifact ≤ 5%, sparse serve RSS
   < 1 GiB, chaos availability ≥ 99%, open-circuit fast-fail < 10 ms,
   pre-fork serving ≥ 2× single-process QPS with p99 ≤ 1.5×, extra mmap
   worker ≤ 25% of a private catalog copy, remote warm-start ≥ 10×,
@@ -22,8 +22,9 @@ as the current run.  Two things are checked:
 Raw wall-clock numbers are *not* compared across documents — the baseline
 was measured on a different machine, so only the recorded floors and the
 current run's own ratios are meaningful.  A drift table is printed for
-humans.  Exit code 1 on any violated floor, with one readable line per
-failure printed first.
+humans; it also lists the floors retired in ``run_all.RETIRED_FLOORS``
+(a baseline that still records them is not gated on them).  Exit code 1
+on any violated floor, with one readable line per failure printed first.
 
 Usage::
 
@@ -43,19 +44,17 @@ BENCH_DIR = Path(__file__).resolve().parent
 if str(BENCH_DIR) not in sys.path:
     sys.path.insert(0, str(BENCH_DIR))
 
-from run_all import collect_floor_failures  # noqa: E402
+from run_all import RETIRED_FLOORS, collect_floor_failures  # noqa: E402
 
 #: (section, metric, floor_key, direction) — the recorded floors carried by
 #: both documents.  ``direction`` is ">=" (floor) or "<=" (ceiling).
 FLOORS: tuple[tuple[str, str, str, str], ...] = (
     ("engine", "batch_speedup", "batch_speedup_floor", ">="),
-    ("catalog", "columnar_speedup", "columnar_speedup_floor", ">="),
     ("catalog", "artifact_npz_ratio", "artifact_npz_ratio_ceiling", "<="),
-    ("catalog", "process_speedup", "process_speedup_floor", ">="),
+    ("catalog", "build_peak_mib", "build_peak_mib_ceiling", "<="),
     ("serving", "coalesced_speedup", "coalesced_speedup_floor", ">="),
     ("delta", "incremental_speedup", "incremental_speedup_floor", ">="),
     ("sparse", "build_speedup", "build_speedup_floor", ">="),
-    ("sparse", "matrix_speedup", "matrix_speedup_floor", ">="),
     ("sparse", "artifact_ratio", "artifact_ratio_ceiling", "<="),
     ("sparse", "serve_max_rss_bytes", "serve_rss_ceiling_bytes", "<="),
     ("chaos", "availability", "availability_floor", ">="),
@@ -113,9 +112,8 @@ def drift_table(baseline: dict, current: dict) -> list[str]:
             floor_key, (current.get(section) or {}).get(floor_key)
         )
         if new_value is None:
-            # e.g. process_speedup on a single-core runner: measured as null,
-            # floor not enforced.
-            rows.append(f"{section}.{metric}: skipped on this machine")
+            # A floor the baseline predates, or one measured as null here.
+            rows.append(f"{section}.{metric}: not measured")
             continue
 
         def fmt(value: object) -> str:
@@ -125,6 +123,8 @@ def drift_table(baseline: dict, current: dict) -> list[str]:
             f"{section}.{metric}: {fmt(new_value)} "
             f"(baseline {fmt(base_value)}, {direction} {fmt(floor)})"
         )
+    for name, reason in RETIRED_FLOORS.items():
+        rows.append(f"{name}: retired ({reason})")
     return rows
 
 

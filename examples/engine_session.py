@@ -27,9 +27,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as cache_dir:
         print("== cold build (artifacts computed and cached) ==")
-        session = EstimationSession.build(
-            graph, config, cache_dir=cache_dir, workers=4
-        )
+        session = EstimationSession.build(graph, config, cache_dir=cache_dir)
         for key, value in session.stats.as_row().items():
             print(f"  {key}: {value}")
 

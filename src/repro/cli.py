@@ -10,7 +10,7 @@ tables and figures can be regenerated without writing Python::
     repro experiment table4 --scale 0.02 -k 3
     repro experiment figure2 --scale 0.01 -k 2 3
     repro estimate moreno.catalog.json "1/2/3" --ordering sum-based --buckets 32
-    repro engine build moreno.tsv -k 3 --cache-dir .repro-cache --workers 4 --backend process
+    repro engine build moreno.tsv -k 3 --cache-dir .repro-cache
     repro engine estimate moreno.tsv "1/2/3" "2/2" --cache-dir .repro-cache
     repro engine update moreno.tsv --delta churn.delta --cache-dir .repro-cache
     repro engine cache prune --cache-dir .repro-cache --max-bytes 100000000
@@ -48,32 +48,25 @@ from repro.experiments.table4 import run_table4
 from repro.exceptions import ReproError
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.paths.catalog import SelectivityCatalog
-from repro.paths.enumeration import CATALOG_BACKENDS
 
 __all__ = ["main", "build_parser", "add_engine_options"]
 
 
 def add_engine_options(
-    parser: argparse.ArgumentParser,
-    *,
-    estimation: bool = True,
-    workers_flag: str = "--workers",
+    parser: argparse.ArgumentParser, *, estimation: bool = True
 ) -> None:
     """Install the shared engine flag block on ``parser``.
 
     One definition of the ``-k/--max-length``, ``--ordering``, ``--buckets``,
-    ``--histogram``, ``--backend``, ``--storage``, ``--cache-dir`` and
-    build-workers flags shared by ``repro catalog``, every ``repro engine``
-    subcommand and ``repro serve``, so defaults and help text cannot drift
-    between them.  :meth:`repro.engine.EngineConfig.from_args` consumes the
-    resulting namespace.
+    ``--histogram``, ``--storage``, ``--cache-dir`` and ``--remote-cache``
+    flags shared by ``repro catalog``, every ``repro engine`` subcommand and
+    ``repro serve``, so defaults and help text cannot drift between them.
+    :meth:`repro.engine.EngineConfig.from_args` consumes the resulting
+    namespace.
 
     ``estimation=False`` (used by ``repro catalog``) skips the
     estimation-only flags (``--ordering``, ``--buckets``, ``--histogram``,
-    ``--cache-dir``).  ``workers_flag`` renames the catalog-construction
-    worker option — ``repro serve`` passes ``--build-workers`` so plain
-    ``--workers`` can mean serving processes — but the parsed attribute is
-    always ``build_workers``.
+    ``--cache-dir``).
     """
     parser.add_argument("-k", "--max-length", type=int, default=3)
     if estimation:
@@ -91,21 +84,6 @@ def add_engine_options(
         metavar="URL",
         help="shared artifact store ('repro artifact-server') consulted on "
         "local cache miss and pushed to after cold builds",
-    )
-    parser.add_argument(
-        workers_flag,
-        dest="build_workers",
-        type=int,
-        default=None,
-        help="workers for catalog construction on a cache miss",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=CATALOG_BACKENDS,
-        default=None,
-        help="catalog construction backend (default: thread when the build "
-        "worker count > 1, serial otherwise; matrix = stacked "
-        "matrix-chain kernel)",
     )
     parser.add_argument(
         "--storage",
@@ -233,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    add_engine_options(serve, workers_flag="--build-workers")
+    add_engine_options(serve)
     serve.add_argument(
         "--workers",
         type=int,
@@ -483,13 +461,7 @@ def _resolve_cache(args: argparse.Namespace):
 def _build_session(args: argparse.Namespace) -> EstimationSession:
     graph = read_edge_list(args.graph)
     config = EngineConfig.from_args(args)
-    return EstimationSession.build(
-        graph,
-        config,
-        cache_dir=_resolve_cache(args),
-        workers=args.build_workers,
-        backend=args.backend,
-    )
+    return EstimationSession.build(graph, config, cache_dir=_resolve_cache(args))
 
 
 def _run_engine_cache(args: argparse.Namespace) -> int:
@@ -609,8 +581,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             cache_dir=_resolve_cache(args),
             max_sessions=args.max_sessions,
             max_bytes=args.max_bytes,
-            workers=args.build_workers,
-            backend=args.backend,
             mmap=mmap,
             prune_cache_bytes=args.prune_cache_bytes,
             default_config=config,
@@ -729,11 +699,7 @@ def _run_catalog(args: argparse.Namespace) -> int:
     built = catalog is None
     if catalog is None:
         catalog = SelectivityCatalog.from_graph(
-            graph,
-            args.max_length,
-            workers=args.build_workers,
-            backend=args.backend,
-            storage=args.storage,
+            graph, args.max_length, storage=args.storage
         )
     if str(args.output).endswith(".npz"):
         catalog.save_npz(args.output)
@@ -958,11 +924,7 @@ def _run_engine(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(stats.as_row(), indent=2))
         else:
-            source = (
-                "cache"
-                if stats.catalog_from_cache
-                else f"built ({stats.backend}, workers={stats.workers})"
-            )
+            source = "cache" if stats.catalog_from_cache else "built"
             print(
                 f"session ready: domain={session.domain_size} "
                 f"method={session.histogram.method_name} "

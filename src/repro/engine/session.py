@@ -40,8 +40,7 @@ from repro.obs.metrics import BUILD_BUCKETS, Histogram
 from repro.ordering.base import Ordering
 from repro.ordering.registry import make_ordering
 from repro.paths.catalog import CATALOG_STORAGE_MODES, SelectivityCatalog
-from repro.paths.enumeration import enumerate_label_paths, resolve_backend
-from repro.paths.label_path import LabelPath
+from repro.paths.label_path import SEPARATOR, LabelPath
 
 __all__ = ["EngineConfig", "SessionStats", "EstimationSession"]
 
@@ -163,8 +162,6 @@ class SessionStats:
     histogram_seconds: float = 0.0
     positions_seconds: float = 0.0
     total_seconds: float = 0.0
-    workers: int = 1
-    backend: str = "serial"
     domain_size: int = 0
     memory_bytes: int = 0
     updated_from_delta: bool = False
@@ -183,8 +180,6 @@ class SessionStats:
             "histogram_seconds": self.histogram_seconds,
             "positions_seconds": self.positions_seconds,
             "total_seconds": self.total_seconds,
-            "workers": self.workers,
-            "backend": self.backend,
             "domain_size": self.domain_size,
             "memory_bytes": self.memory_bytes,
             "updated_from_delta": self.updated_from_delta,
@@ -237,8 +232,6 @@ class EstimationSession:
         config: Optional[EngineConfig] = None,
         *,
         cache_dir: Optional[Union[str, "ArtifactCache"]] = None,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
         mmap: bool = False,
     ) -> "EstimationSession":
         """Build (or warm-load) a session for ``graph`` under ``config``.
@@ -250,18 +243,6 @@ class EstimationSession:
             catalog / histogram / position artifacts are loaded from it on a
             hit and written to it on a miss.  ``None`` builds everything in
             memory.
-        workers:
-            Worker count for catalog construction on a cache miss
-            (``None`` = serial; ``n > 1`` splits the DFS over first-label
-            subtrees).
-        backend:
-            Catalog construction backend: ``"serial"``, ``"thread"``,
-            ``"process"`` or ``"matrix"`` (see
-            :func:`repro.paths.enumeration.compute_selectivity_vector`).
-            ``None`` keeps the historical default: threads when
-            ``workers > 1``, serial otherwise.  ``"matrix"`` builds whole
-            levels as stacked sparse matrix-chain products — the fastest
-            cold build for large sparse domains.
         mmap:
             Prefer a memory-mapped catalog on a cache hit (see
             :meth:`ArtifactCache.load_catalog`).  Only changes how the
@@ -269,13 +250,7 @@ class EstimationSession:
         """
         config = config if config is not None else EngineConfig()
         cache = cls._resolve_cache(cache_dir)
-
-        # Resolve the backend and worker count through the builder's own
-        # rules, so the stats record what a cold build actually uses.
-        effective_backend, effective_workers = resolve_backend(
-            backend, workers, graph.label_count or 1
-        )
-        stats = SessionStats(workers=effective_workers, backend=effective_backend)
+        stats = SessionStats()
         build_start = time.perf_counter()
 
         with tracing.span("session.fingerprint"):
@@ -314,13 +289,9 @@ class EstimationSession:
                         quarantined.append(extra)
                 stats.extra["catalog_quarantined"] = len(quarantined)
         if catalog is None:
-            with tracing.span("session.catalog_build", backend=effective_backend):
+            with tracing.span("session.catalog_build"):
                 catalog = SelectivityCatalog.from_graph(
-                    graph,
-                    config.max_length,
-                    workers=effective_workers,
-                    backend=effective_backend,
-                    storage=config.storage,
+                    graph, config.max_length, storage=config.storage
                 )
             if cache is not None:
                 cache.store_catalog(catalog_key, catalog)
@@ -443,12 +414,19 @@ class EstimationSession:
                     cache.store_positions(histogram_key, positions)
             else:
                 stats.positions_from_cache = True
-            position_of = {
-                str(path): int(position)
-                for path, position in zip(
-                    enumerate_label_paths(catalog.labels, config.max_length), positions
-                )
-            }
+            # Path strings in canonical order, each length extending the
+            # previous length's strings: formatting one LabelPath per path
+            # cost more than the rest of a remote warm start.
+            names = list(catalog.labels)
+            level = names
+            for _ in range(1, config.max_length):
+                level = [
+                    f"{prefix}{SEPARATOR}{label}"
+                    for prefix in level
+                    for label in catalog.labels
+                ]
+                names += level
+            position_of = dict(zip(names, positions.tolist()))
         stats.positions_seconds = time.perf_counter() - start
         _STAGE_SECONDS.observe(stats.positions_seconds, stage="positions")
         trace = tracing.current_trace()
@@ -509,8 +487,6 @@ class EstimationSession:
         self,
         delta: GraphDelta,
         *,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
         graph: Optional[LabeledDiGraph] = None,
     ) -> "EstimationSession":
         """A new session reflecting ``delta``, rebuilt incrementally.
@@ -558,14 +534,7 @@ class EstimationSession:
                 "(it was mutated after this session was built — apply "
                 "deltas to the session returned by the previous update)"
             )
-        effective_backend, effective_workers = resolve_backend(
-            backend, workers, graph.label_count or 1
-        )
-        stats = SessionStats(
-            workers=effective_workers,
-            backend=effective_backend,
-            updated_from_delta=True,
-        )
+        stats = SessionStats(updated_from_delta=True)
         build_start = time.perf_counter()
 
         delta_added, delta_removed = delta.apply(graph)
@@ -600,11 +569,7 @@ class EstimationSession:
         start = time.perf_counter()
         with tracing.span("session.delta_catalog", subtrees=len(affected)):
             catalog = self._catalog.apply_delta(
-                graph,
-                delta,
-                workers=effective_workers,
-                backend=effective_backend,
-                affected=None if full_rebuild else affected,
+                graph, delta, affected=None if full_rebuild else affected
             )
         if self._cache is not None:
             self._cache.store_catalog(catalog_key, catalog)

@@ -24,8 +24,6 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-import networkx as nx
-
 from repro.exceptions import GraphError
 from repro.graph.digraph import LabeledDiGraph
 
@@ -197,6 +195,8 @@ def barabasi_albert_graph(
         raise GraphError("edges_per_vertex must be >= 1")
     if vertex_count <= edges_per_vertex:
         raise GraphError("vertex_count must exceed edges_per_vertex")
+    import networkx as nx
+
     rng = random.Random(seed)
     label_alphabet = list(labels) if labels is not None else default_labels(label_count)
     ba = nx.barabasi_albert_graph(vertex_count, edges_per_vertex, seed=seed)

@@ -18,25 +18,7 @@ from scipy import sparse
 from repro.exceptions import UnknownLabelError
 from repro.graph.digraph import LabeledDiGraph
 
-__all__ = ["LabelMatrixStore", "drop_zero_rows", "block_nonzero_counts"]
-
-
-def drop_zero_rows(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Return ``matrix`` restricted to its rows with at least one stored entry.
-
-    A zero row of a boolean reachability block stays zero under any further
-    right-multiplication, and the path counts the matrix-chain builder emits
-    are row-position independent (each count is a block's total nnz), so
-    dropping empty rows between levels is loss-free.  It is also the main
-    reason stacked frontiers stay small: dead source vertices stop paying
-    for ``indptr`` space in every later product.  Returns ``matrix`` itself
-    (no copy) when every row is nonzero.
-    """
-    row_counts = np.diff(matrix.indptr)
-    keep = np.nonzero(row_counts)[0]
-    if keep.size == matrix.shape[0]:
-        return matrix
-    return matrix[keep]
+__all__ = ["LabelMatrixStore", "block_nonzero_counts"]
 
 
 def block_nonzero_counts(
@@ -77,6 +59,7 @@ class LabelMatrixStore:
         self._dimension = graph.vertex_count
         self._labels = tuple(sorted(labels) if labels is not None else graph.labels())
         self._matrices: dict[str, sparse.csr_matrix] = {}
+        self._sources: dict[str, np.ndarray] = {}
 
     @property
     def dimension(self) -> int:
@@ -100,21 +83,52 @@ class LabelMatrixStore:
         if cached is not None:
             return cached
         rows, cols = self._graph.edge_index_arrays(label)
-        data = np.ones(rows.size, dtype=bool)
+        # Straight to canonical CSR: the (row, col) pairs are unique (edges
+        # form a set), so one sort replaces scipy's COO detour, which costs
+        # more than the matrix itself for the small labels of sparse graphs.
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(self._dimension + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self._dimension), out=indptr[1:])
         matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self._dimension, self._dimension), dtype=bool
+            (np.ones(rows.size, dtype=bool), cols[order], indptr),
+            shape=(self._dimension, self._dimension),
         )
         self._matrices[label] = matrix
         return matrix
+
+    def source_ids(self, label: str) -> np.ndarray:
+        """Vertex ids with an outgoing ``label`` edge: the nonzero rows of ``M(label)``.
+
+        Read off the matrix when it is already built, otherwise off the
+        graph's adjacency without building it — the catalog builder uses
+        this to skip products that are provably empty, so a delta patch
+        only builds the matrices its affected subtrees actually reach.
+        Order is unspecified.
+        """
+        cached = self._sources.get(label)
+        if cached is not None:
+            return cached
+        matrix = self._matrices.get(label)
+        if matrix is not None:
+            ids = np.flatnonzero(np.diff(matrix.indptr))
+        elif label not in self._labels:
+            raise UnknownLabelError(label)
+        elif self._graph.has_label(label):
+            sources = self._graph.forward_adjacency(label)
+            ids = np.fromiter(
+                map(self._graph.vertex_id, sources), dtype=np.int64, count=len(sources)
+            )
+        else:
+            ids = np.empty(0, dtype=np.int64)
+        self._sources[label] = ids
+        return ids
 
     def as_dict(
         self, labels: Optional[Iterable[str]] = None
     ) -> dict[str, sparse.csr_matrix]:
         """Materialise the matrices for ``labels`` (default: all) as a dict.
 
-        The catalog builders take a plain ``label -> matrix`` mapping so the
-        hot loops never touch the store's cache logic; this is the one-call
-        way to produce it with every matrix built exactly once.
+        The one-call way to build every requested matrix exactly once.
         """
         selected = self._labels if labels is None else tuple(labels)
         return {label: self.matrix(label) for label in selected}

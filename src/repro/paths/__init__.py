@@ -2,8 +2,6 @@
 
 from repro.paths.catalog import SelectivityCatalog
 from repro.paths.enumeration import (
-    compute_selectivities,
-    compute_selectivities_parallel,
     compute_selectivity_vector,
     domain_size,
     enumerate_label_paths,
@@ -41,8 +39,6 @@ __all__ = [
     "PathIndex",
     "SelectivityCatalog",
     "as_label_path",
-    "compute_selectivities",
-    "compute_selectivities_parallel",
     "compute_selectivity_vector",
     "domain_index_to_path",
     "domain_size",

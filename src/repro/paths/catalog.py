@@ -348,8 +348,6 @@ class SelectivityCatalog:
         *,
         labels: Optional[Sequence[str]] = None,
         progress: Optional[Callable[[int], None]] = None,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
         storage: str = "auto",
     ) -> "SelectivityCatalog":
         """Build the catalog by exact evaluation of every path on ``graph``.
@@ -361,11 +359,9 @@ class SelectivityCatalog:
         (:func:`~repro.paths.enumeration.compute_selectivity_nonzeros`),
         which touches O(nnz) memory and never materialises zero subtrees;
         ``"auto"`` then keeps the sparse form when the domain is large and
-        mostly zero, and scatters into a dense vector otherwise.  Results
-        are identical across storage modes and across the ``"serial"`` /
-        ``"thread"`` / ``"process"`` / ``"matrix"`` backends; ``"matrix"``
-        builds whole levels as stacked sparse matrix-chain products and is
-        the fastest way to construct large sparse catalogs.
+        mostly zero, and scatters into a dense vector otherwise.  Both run
+        the same matrix-chain kernel, so results are identical across
+        storage modes.
         """
         if storage not in CATALOG_STORAGE_MODES:
             raise PathError(
@@ -376,23 +372,13 @@ class SelectivityCatalog:
         name = graph.name or "unnamed"
         if storage == "dense":
             vector = compute_selectivity_vector(
-                graph,
-                max_length,
-                labels=alphabet,
-                progress=progress,
-                backend=backend,
-                workers=workers,
+                graph, max_length, labels=alphabet, progress=progress
             )
             return cls.from_frequencies(
                 alphabet, max_length, vector, graph_name=name, copy=False
             )
         indices, counts = compute_selectivity_nonzeros(
-            graph,
-            max_length,
-            labels=alphabet,
-            progress=progress,
-            backend=backend,
-            workers=workers,
+            graph, max_length, labels=alphabet, progress=progress
         )
         return cls(
             alphabet,
@@ -424,8 +410,6 @@ class SelectivityCatalog:
         delta: GraphDelta,
         *,
         progress: Optional[Callable[[int], None]] = None,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
         affected: Optional[Sequence[str]] = None,
     ) -> "SelectivityCatalog":
         """A new catalog reflecting ``delta``, rebuilt incrementally.
@@ -451,8 +435,6 @@ class SelectivityCatalog:
                 graph,
                 self._max_length,
                 progress=progress,
-                workers=workers,
-                backend=backend,
                 storage=self._storage,
             )
         name = graph.name or self._graph_name
@@ -465,8 +447,6 @@ class SelectivityCatalog:
                 delta,
                 labels=self._labels,
                 progress=progress,
-                workers=workers,
-                backend=backend,
                 affected=affected,
             )
             return SelectivityCatalog(
@@ -483,8 +463,6 @@ class SelectivityCatalog:
             delta,
             labels=self._labels,
             progress=progress,
-            workers=workers,
-            backend=backend,
             affected=affected,
         )
         return SelectivityCatalog.from_frequencies(

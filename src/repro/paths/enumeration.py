@@ -1,55 +1,34 @@
-"""Enumeration of the label-path domain ``Lk``.
+"""Enumeration of the label-path domain ``Lk`` and its catalog builder.
 
 ``Lk`` is the set of all label paths over the alphabet ``L`` with length up to
 ``k`` (Section 2 of the paper); its size is ``|L| + |L|² + ... + |L|^k``.
-This module enumerates ``Lk`` and — more importantly — computes the true
-selectivity ``f(ℓ)`` of *every* path in ``Lk`` in a single prefix-sharing
-depth-first traversal over boolean matrix products, which is what makes
-building the full catalog for ``k = 6`` feasible.
+This module enumerates ``Lk`` and computes the true selectivity ``f(ℓ)`` of
+*every* path in ``Lk`` with one kernel, :func:`_matrix_subtrees_nonzeros`:
+boolean matrix-chain products over the per-label adjacency matrices, where
+the live prefixes of a trie level are stacked into one CSR matrix so that a
+whole batch of prefixes is extended by a label in a single scipy call.
 
-Three builders exist:
+Four entry points share the kernel:
 
-* :func:`compute_selectivity_nonzeros` — the **sparse core**: emits the
-  strictly-positive selectivities as aligned ``(domain indices, counts)``
-  ``int64`` arrays in canonical numerical-alphabetical order, touching
-  O(nnz) memory.  Zero subtrees are never materialised — only a progress
-  counter advances past them — which is what lets alphabet/length scenarios
+* :func:`compute_selectivity_nonzeros` — the strictly-positive
+  selectivities as aligned ``(domain indices, counts)`` ``int64`` arrays in
+  canonical numerical-alphabetical order, in O(nnz) memory.  Zero subtrees
+  are never materialised, which is what lets alphabet/length scenarios
   whose dense domain would not fit in memory (``|L|=20, k=6`` is 64M
   entries) build at all.
-* :func:`compute_selectivity_vector` — the **columnar core**: writes counts
-  straight into an index-aligned ``int64`` NumPy vector in canonical
-  numerical-alphabetical order (see :mod:`repro.paths.index`).  No
-  :class:`LabelPath` objects, no dict inserts; subtrees rooted at an empty
-  prefix are skipped in O(1) because the vector is zero-initialised and the
-  canonical order maps every subtree to a contiguous slice.
-* :func:`compute_selectivities` — the legacy dict builder (``LabelPath`` →
-  count), kept as the compatibility surface and as the reference baseline the
-  benchmark suite measures the columnar core against.
-
-All three share the prefix-sharing DFS over boolean matrix products and
-support ``backend="serial" | "thread" | "process"`` over the ``|L|``
-independent first-label subtrees of the path trie (the dict builder via
-:func:`compute_selectivities_parallel`); the sparse and columnar cores agree
-exactly — the sparse arrays are the nonzero scatter of the columnar vector.
-
-The sparse and columnar cores additionally support ``backend="matrix"``, a
-level-synchronous matrix-chain kernel (:func:`_matrix_subtrees_nonzeros`)
-that replaces the per-trie-node Python recursion with ``k·|L|`` products of
-one *stacked* frontier matrix: all live prefix products of a level are
-vertically stacked into a single CSR matrix, extended by each label in one
-scipy call, and reduced to per-prefix counts with ``indptr`` arithmetic.
-Its output is byte-identical to the DFS builders; on the ``|L|=20, k=6``
-benchmark domain it builds the sparse catalog several times faster.
+* :func:`compute_selectivity_vector` — the same counts scattered into an
+  index-aligned ``int64`` vector in canonical order (see
+  :mod:`repro.paths.index`), the dense catalog representation.
+* :func:`update_selectivity_nonzeros` / :func:`update_selectivity_vector`
+  — delta patches: the kernel reruns on the affected first-label subtrees
+  only and every other entry is kept.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -57,7 +36,7 @@ from scipy import sparse
 from repro.exceptions import PathError
 from repro.graph.delta import GraphDelta, affected_first_labels
 from repro.graph.digraph import LabeledDiGraph
-from repro.graph.matrices import LabelMatrixStore, block_nonzero_counts, drop_zero_rows
+from repro.graph.matrices import LabelMatrixStore, block_nonzero_counts
 from repro.obs import tracing
 from repro.obs.metrics import BUILD_BUCKETS, Histogram
 from repro.paths.index import domain_block_starts
@@ -65,30 +44,37 @@ from repro.paths.label_path import LabelPath
 
 _CATALOG_BUILD_SECONDS = Histogram(
     "repro_catalog_build_seconds",
-    "Wall-clock seconds spent in a catalog core build, by resolved backend.",
+    "Wall-clock seconds spent in a cold catalog core build.",
     buckets=BUILD_BUCKETS,
-    labelnames=("backend",),
 )
 
 __all__ = [
     "domain_size",
     "enumerate_label_paths",
-    "compute_selectivities",
-    "compute_selectivities_parallel",
     "compute_selectivity_vector",
     "compute_selectivity_nonzeros",
     "update_selectivity_vector",
     "update_selectivity_nonzeros",
     "subtree_level_ranges",
-    "resolve_backend",
-    "CATALOG_BACKENDS",
 ]
 
-#: Supported catalog-construction backends for :func:`compute_selectivity_vector`.
-CATALOG_BACKENDS = ("serial", "thread", "process", "matrix")
+#: Stored entries the kernel collects for the next trie level before it
+#: multiplies them onward and drops them.  This bounds the live frontier to
+#: about one budget per level plus a single label's product.  On the
+#: snap-er stand-in (k=4) a cold build's peak-RSS rise was +1.1 MiB at
+#: 1,024, +2.9 MiB at 16,384, +18 MiB at 262,144 and +59 MiB unbounded;
+#: 16,384 ran about 15% faster than 1,024.
+_FLUSH_ENTRIES = 16_384
 
-#: The progress callback fires every this many processed paths.
-_PROGRESS_EVERY = 1000
+#: A stacked frontier: the CSR matrix, each block's first-label digit and
+#: local value (the base-``|L|`` number of its remaining labels), and the
+#: block row offsets.
+_Frontier = tuple[sparse.csr_matrix, np.ndarray, np.ndarray, np.ndarray]
+
+#: A collected part of the next frontier: a compacted product's column
+#: indices and row end offsets (see :func:`_compact`), then each block's
+#: digit, local value and row count.
+_Part = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def domain_size(label_count: int, max_length: int) -> int:
@@ -124,254 +110,7 @@ def enumerate_label_paths(
 
 
 # ----------------------------------------------------------------------
-# legacy dict builder (compatibility surface and benchmark baseline)
-# ----------------------------------------------------------------------
-def compute_selectivities(
-    graph: LabeledDiGraph,
-    max_length: int,
-    *,
-    labels: Optional[Sequence[str]] = None,
-    store: Optional[LabelMatrixStore] = None,
-    prune_empty: bool = False,
-    progress: Optional[Callable[[int], None]] = None,
-    roots: Optional[Sequence[str]] = None,
-) -> dict[LabelPath, int]:
-    """Compute ``f(ℓ)`` for every ``ℓ ∈ Lk`` on ``graph`` (dict output).
-
-    The computation shares prefixes: the boolean reachability matrix of a
-    prefix is computed once and extended by every label, so the total number
-    of sparse matrix products equals the number of internal nodes of the
-    label-path trie rather than ``k`` per path.
-
-    This is the legacy path-keyed builder; :func:`compute_selectivity_vector`
-    is the columnar equivalent the engine uses.
-
-    Parameters
-    ----------
-    prune_empty:
-        When ``True``, subtrees rooted at a path with zero selectivity are
-        skipped (their extensions necessarily also have zero selectivity) and
-        those paths are *omitted* from the result.  The histogram experiments
-        keep zeros (``False``) because the domain must cover all of ``Lk``.
-    progress:
-        Optional callback invoked with the running number of paths processed,
-        used by the CLI to report progress on large catalogs.
-    roots:
-        Optional restriction of the *first* label: only the subtrees of the
-        label-path trie rooted at these labels are evaluated.  Extensions
-        still range over the full alphabet.  This is the unit of work that
-        :func:`compute_selectivities_parallel` distributes across workers.
-    """
-    if max_length < 1:
-        raise PathError("max_length must be >= 1")
-    alphabet = sorted(labels) if labels is not None else graph.labels()
-    if not alphabet:
-        raise PathError("the graph has no edge labels to enumerate")
-    if roots is None:
-        first_labels = alphabet
-    else:
-        unknown = sorted(set(roots) - set(alphabet))
-        if unknown:
-            raise PathError(f"roots outside the label alphabet: {', '.join(unknown)}")
-        first_labels = [label for label in alphabet if label in set(roots)]
-    matrix_store = store if store is not None else LabelMatrixStore(graph, labels=alphabet)
-
-    selectivities: dict[LabelPath, int] = {}
-    processed = 0
-
-    def _tick() -> None:
-        nonlocal processed
-        processed += 1
-        if progress is not None and processed % _PROGRESS_EVERY == 0:
-            progress(processed)
-
-    def visit(prefix_labels: tuple[str, ...], prefix_matrix) -> None:
-        """DFS one trie level deeper, recording each extension's nnz."""
-        extensions = first_labels if not prefix_labels else alphabet
-        for label in extensions:
-            labels_here = prefix_labels + (label,)
-            matrix = (
-                matrix_store.matrix(label)
-                if prefix_matrix is None
-                else matrix_store.extend(prefix_matrix, label)
-            )
-            count = int(matrix.nnz)
-            path = LabelPath(labels_here)
-            if count > 0 or not prune_empty:
-                selectivities[path] = count
-            _tick()
-            if len(labels_here) < max_length and (count > 0 or not prune_empty):
-                if count == 0:
-                    # All extensions of an empty result are empty: record zeros
-                    # without multiplying matrices.
-                    _record_zero_subtree(labels_here)
-                else:
-                    visit(labels_here, matrix)
-
-    def _record_zero_subtree(prefix_labels: tuple[str, ...]) -> None:
-        remaining = max_length - len(prefix_labels)
-        for extra in range(1, remaining + 1):
-            for combo in itertools.product(alphabet, repeat=extra):
-                selectivities[LabelPath(prefix_labels + combo)] = 0
-                # Keep ticking while zeros are recorded: sparse graphs spend
-                # most of their domain here, and a silent stretch used to
-                # freeze the CLI progress display.
-                _tick()
-
-    visit((), None)
-    return selectivities
-
-
-def default_worker_count(label_count: int) -> int:
-    """Worker count used when a parallel build is requested without one."""
-    return max(1, min(label_count, os.cpu_count() or 1))
-
-
-def resolve_backend(
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    label_count: int = 1,
-) -> tuple[str, int]:
-    """Resolve a requested ``(backend, workers)`` pair to what a build uses.
-
-    This is the single place the capping and degradation rules live:
-    ``backend=None`` keeps the historical default (threads when
-    ``workers > 1``, serial otherwise), worker counts are capped at the
-    number of first-label subtrees ``|L|``, and a resolved count of one
-    degrades any parallel backend to serial.  Both
-    :func:`compute_selectivity_vector` and the engine session resolve
-    through here, so reported stats always match the build that ran.
-
-    The ``matrix`` backend is level-synchronous rather than sharded: it
-    batches every requested subtree through one stacked frontier, so it
-    always resolves to a single worker and never degrades to serial.
-    """
-    if workers is not None and workers < 1:
-        raise PathError("workers must be >= 1")
-    if backend is None:
-        backend = "thread" if workers is not None and workers > 1 else "serial"
-    if backend not in CATALOG_BACKENDS:
-        raise PathError(
-            f"unknown backend {backend!r}; expected one of {CATALOG_BACKENDS}"
-        )
-    if backend == "serial" or backend == "matrix":
-        return backend, 1
-    count = workers if workers is not None else default_worker_count(label_count)
-    count = min(count, max(1, label_count))
-    if count <= 1:
-        return "serial", 1
-    return backend, count
-
-
-class _ProgressAggregator:
-    """Folds per-subtree progress counts into one combined running total.
-
-    Each subtree traversal reports its own cumulative count; per-subtree
-    adapters convert those into deltas under a lock so the user callback sees
-    the combined count across all subtrees (thread-safe, also used by the
-    serial path where the lock is uncontended).
-    """
-
-    def __init__(self, callback: Optional[Callable[[int], None]]) -> None:
-        self._callback = callback
-        self._lock = threading.Lock()
-        self._total = 0
-
-    def adapter(self) -> Optional[Callable[[int], None]]:
-        """A per-worker progress callback feeding the shared total."""
-        if self._callback is None:
-            return None
-        last = [0]
-
-        def report(processed: int) -> None:
-            """Fold this worker's cumulative count into the shared total."""
-            with self._lock:
-                self._total += processed - last[0]
-                last[0] = processed
-                combined = self._total
-            self._callback(combined)
-
-        return report
-
-    def bump(self, count: int) -> None:
-        """Add ``count`` finished paths and fire the callback directly."""
-        if self._callback is None:
-            return
-        with self._lock:
-            self._total += count
-            combined = self._total
-        self._callback(combined)
-
-
-def compute_selectivities_parallel(
-    graph: LabeledDiGraph,
-    max_length: int,
-    *,
-    labels: Optional[Sequence[str]] = None,
-    store: Optional[LabelMatrixStore] = None,
-    prune_empty: bool = False,
-    workers: Optional[int] = None,
-    progress: Optional[Callable[[int], None]] = None,
-) -> dict[LabelPath, int]:
-    """Parallel :func:`compute_selectivities` over first-label subtrees.
-
-    The label-path trie decomposes into ``|L|`` independent subtrees, one per
-    first label; each worker runs the prefix-sharing DFS on one subtree,
-    sharing the read-only per-label matrices.  Threads (not processes) are
-    used because the heavy lifting is scipy's sparse matmul, which releases
-    the GIL, and the graph/matrix store need not be pickled.  (For a
-    process-sharded build of the columnar representation see
-    :func:`compute_selectivity_vector` with ``backend="process"``.)
-
-    ``workers=None`` picks ``min(|L|, cpu_count)``; ``workers=1`` degrades to
-    the serial implementation.  Results are identical to the serial builder.
-    ``progress`` receives the *combined* running path count across workers
-    (called from worker threads; the callback must be thread-safe).
-    """
-    if workers is not None and workers < 1:
-        raise PathError("workers must be >= 1")
-    alphabet = sorted(labels) if labels is not None else graph.labels()
-    if not alphabet:
-        raise PathError("the graph has no edge labels to enumerate")
-    worker_count = workers if workers is not None else default_worker_count(len(alphabet))
-    matrix_store = store if store is not None else LabelMatrixStore(graph, labels=alphabet)
-    if worker_count <= 1 or len(alphabet) == 1:
-        return compute_selectivities(
-            graph,
-            max_length,
-            labels=alphabet,
-            store=matrix_store,
-            prune_empty=prune_empty,
-            progress=progress,
-        )
-
-    aggregator = _ProgressAggregator(progress)
-    # Materialise every per-label matrix up front so workers only ever read
-    # the store's cache (lazy fill from multiple threads would duplicate work).
-    for label in alphabet:
-        matrix_store.matrix(label)
-    selectivities: dict[LabelPath, int] = {}
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        futures = [
-            pool.submit(
-                compute_selectivities,
-                graph,
-                max_length,
-                labels=alphabet,
-                store=matrix_store,
-                prune_empty=prune_empty,
-                roots=(label,),
-                progress=aggregator.adapter(),
-            )
-            for label in alphabet
-        ]
-        for future in futures:
-            selectivities.update(future.result())
-    return selectivities
-
-
-# ----------------------------------------------------------------------
-# columnar builder (the engine's construction core)
+# the matrix-chain kernel
 # ----------------------------------------------------------------------
 def _subtree_tail_size(base: int, remaining: int) -> int:
     """Number of extension paths below a prefix: ``Σ_{e=1..remaining} |L|^e``."""
@@ -382,591 +121,267 @@ def _subtree_tail_size(base: int, remaining: int) -> int:
     return (base ** (remaining + 1) - base) // (base - 1)
 
 
-def _subtree_levels(
-    matrices: Mapping[str, sparse.csr_matrix],
-    alphabet: Sequence[str],
-    first_label: str,
-    max_length: int,
-    progress: Optional[Callable[[int], None]] = None,
-) -> list[np.ndarray]:
-    """Selectivities of one first-label subtree as per-length local arrays.
+def _stack(parts: Sequence[_Part], columns: int) -> _Frontier:
+    """Stack collected parts into one boolean CSR frontier with ``columns`` columns."""
+    indices = np.concatenate([part[0] for part in parts])
+    indptr = np.zeros(1 + sum(part[1].size for part in parts), dtype=np.int64)
+    row, offset = 1, 0
+    for part_indices, row_ends, *_ in parts:
+        indptr[row:row + row_ends.size] = row_ends + offset
+        row += row_ends.size
+        offset += part_indices.size
+    frontier = sparse.csr_matrix(
+        (np.ones(indices.size, dtype=bool), indices, indptr),
+        shape=(indptr.size - 1, columns),
+    )
+    heights = np.concatenate([part[4] for part in parts])
+    block_ptr = np.zeros(heights.size + 1, dtype=np.int64)
+    np.cumsum(heights, out=block_ptr[1:])
+    return (
+        frontier,
+        np.concatenate([part[2] for part in parts]),
+        np.concatenate([part[3] for part in parts]),
+        block_ptr,
+    )
 
-    ``levels[i]`` covers the paths of length ``i + 1`` that start with
-    ``first_label``; within a level, a path's local position is the
-    base-``|L|`` number spelled by the digits of its *remaining* labels, so
-    ``levels[i]`` has exactly ``|L|^i`` slots and maps onto a contiguous
-    slice of the full domain vector.  Subtrees of an empty prefix are
-    accounted in O(1): the arrays are zero-initialised, so only the progress
-    counter advances.
+
+def _compact(
+    matrix: sparse.csr_matrix, block_ptr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``matrix`` without its all-zero rows, as raw arrays, plus block heights.
+
+    Returns ``(indices, row_ends, heights)``.  Dropping empty rows removes no
+    stored entry, so ``indices`` is ``matrix.indices`` itself and only the
+    row boundaries shrink, to the kept rows' end offsets; no scipy matrix is
+    built per part.  ``block_ptr`` delimits the row blocks of ``matrix``,
+    and ``heights`` holds each block's kept row count.
     """
-    base = len(alphabet)
-    levels = [np.zeros(base**i, dtype=np.int64) for i in range(max_length)]
-    state = [0, 0]  # processed, last reported
-
-    def advance(count: int) -> None:
-        """Bump the processed counter, reporting progress in batches."""
-        state[0] += count
-        if progress is not None and state[0] - state[1] >= _PROGRESS_EVERY:
-            state[1] = state[0]
-            progress(state[0])
-
-    root_matrix = matrices[first_label]
-    levels[0][0] = int(root_matrix.nnz)
-    advance(1)
-
-    def visit(local_value: int, length: int, prefix_matrix) -> None:
-        """DFS below one prefix, writing counts into the level arrays."""
-        if length >= max_length:
-            return
-        if prefix_matrix.nnz == 0:
-            # Zero subtree: every slot below this prefix keeps its initial 0.
-            advance(_subtree_tail_size(base, max_length - length))
-            return
-        level = levels[length]
-        for digit, label in enumerate(alphabet):
-            extended = (prefix_matrix @ matrices[label]).astype(bool)
-            child = local_value * base + digit
-            level[child] = int(extended.nnz)
-            advance(1)
-            visit(child, length + 1, extended)
-
-    visit(0, 1, root_matrix)
-    if progress is not None and state[0] != state[1]:
-        progress(state[0])
-    return levels
+    rows = np.flatnonzero(np.diff(matrix.indptr))
+    heights = np.diff(np.searchsorted(rows, block_ptr))
+    return matrix.indices, matrix.indptr[rows + 1], heights
 
 
-def _subtree_nonzeros(
-    matrices: Mapping[str, sparse.csr_matrix],
-    alphabet: Sequence[str],
-    first_label: str,
-    max_length: int,
-    progress: Optional[Callable[[int], None]] = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Nonzero selectivities of one first-label subtree, as per-length arrays.
+def _extend_blocks(
+    frontier: sparse.csr_matrix,
+    block_ptr: np.ndarray,
+    matrix: sparse.csr_matrix,
+    keep: bool,
+) -> tuple[np.ndarray, Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """One label's extension of a stacked frontier.
 
-    The sparse counterpart of :func:`_subtree_levels`: entry ``i`` of the
-    returned list is an ``(int64 local positions, int64 counts)`` pair
-    covering the *nonzero* paths of length ``i + 1`` that start with
-    ``first_label``; a path's local position is the base-``|L|`` number
-    spelled by its remaining labels, so the pair maps onto the same
-    contiguous domain slice :func:`_merge_subtree` fills — without ever
-    allocating the ``|L|^i`` slots the zeros would occupy.  The DFS visits
-    extensions in digit order, so each level's positions come out sorted and
-    no post-hoc sort is needed.  Zero subtrees advance only the progress
-    counter.
+    Returns the per-block path counts and, when ``keep`` is set and any
+    block survives, the product compacted by :func:`_compact`.  The product
+    itself goes out of scope here, so a flush that descends further holds
+    only the compacted arrays.
     """
-    base = len(alphabet)
-    local_lists: list[list[int]] = [[] for _ in range(max_length)]
-    count_lists: list[list[int]] = [[] for _ in range(max_length)]
-    state = [0, 0]  # processed, last reported
+    product = frontier @ matrix
+    counts = block_nonzero_counts(product, block_ptr)
+    if not keep or not product.indices.size:
+        return counts, None
+    return counts, _compact(product, block_ptr)
 
-    def advance(count: int) -> None:
-        """Bump the processed counter, reporting progress in batches."""
-        state[0] += count
-        if progress is not None and state[0] - state[1] >= _PROGRESS_EVERY:
-            state[1] = state[0]
-            progress(state[0])
 
-    root_matrix = matrices[first_label]
-    root_count = int(root_matrix.nnz)
-    if root_count:
-        local_lists[0].append(0)
-        count_lists[0].append(root_count)
-    advance(1)
+class _Collected:
+    """Compacted products gathered for one trie level, flushed by size.
 
-    def visit(local_value: int, length: int, prefix_matrix) -> None:
-        """DFS below one prefix, appending nonzero (local, count) pairs."""
-        if length >= max_length:
-            return
-        if prefix_matrix.nnz == 0:
-            advance(_subtree_tail_size(base, max_length - length))
-            return
-        locals_here = local_lists[length]
-        counts_here = count_lists[length]
-        for digit, label in enumerate(alphabet):
-            extended = (prefix_matrix @ matrices[label]).astype(bool)
-            child = local_value * base + digit
-            count = int(extended.nnz)
-            if count:
-                locals_here.append(child)
-                counts_here.append(count)
-            advance(1)
-            visit(child, length + 1, extended)
+    Once they hold :data:`_FLUSH_ENTRIES` stored entries (or on an
+    explicit :meth:`flush`) they are stacked into one frontier, dropped,
+    and handed to ``extend``, which multiplies them onward.
+    """
 
-    visit(0, 1, root_matrix)
-    if progress is not None and state[0] != state[1]:
-        progress(state[0])
-    return [
-        (
-            np.asarray(locals_, dtype=np.int64),
-            np.asarray(counts_, dtype=np.int64),
-        )
-        for locals_, counts_ in zip(local_lists, count_lists)
-    ]
+    def __init__(self, extend: Callable[[_Frontier], None], columns: int) -> None:
+        self._extend = extend
+        self._columns = columns
+        self._parts: list[_Part] = []
+        self._entries = 0
+
+    def add(
+        self,
+        indices: np.ndarray,
+        row_ends: np.ndarray,
+        digits: np.ndarray,
+        values: np.ndarray,
+        heights: np.ndarray,
+    ) -> None:
+        """Collect one part; multiply the batch onward once it fills the budget."""
+        self._parts.append((indices, row_ends, digits, values, heights))
+        self._entries += indices.size
+        if self._entries >= _FLUSH_ENTRIES:
+            self.flush()
+
+    def flush(self) -> None:
+        """Stack whatever was collected, drop the parts and multiply onward."""
+        if self._parts:
+            stacked = _stack(self._parts, self._columns)
+            self._parts, self._entries = [], 0
+            self._extend(stacked)
 
 
 def _matrix_subtrees_nonzeros(
-    matrices: Mapping[str, sparse.csr_matrix],
+    store: LabelMatrixStore,
     alphabet: Sequence[str],
     roots: Sequence[str],
     max_length: int,
     progress: Optional[Callable[[int], None]] = None,
-) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
-    """Nonzero selectivities of the ``roots`` subtrees via stacked matrix chains.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero selectivities of the ``roots`` subtrees as sorted domain arrays.
 
-    The level-synchronous counterpart of :func:`_subtree_nonzeros` with
-    identical per-root output.  Instead of recursing per trie node, every
-    live prefix product of level ``m`` — across *all* requested subtrees —
-    is kept as a block of one vertically stacked boolean CSR ``frontier``;
-    extending the whole level by a label is then a single
-    ``frontier @ M(label)`` product, and the per-prefix path counts fall out
-    of ``indptr`` differences at the block boundaries
-    (:func:`~repro.graph.matrices.block_nonzero_counts`).  That turns
-    ``O(trie nodes)`` scipy calls into ``k · |L|`` and moves the inner build
-    loop entirely into compiled code.
+    Returns ``(indices, counts)``: the sorted canonical domain indices of
+    every path that starts with a label in ``roots`` and has ``f(ℓ) > 0``,
+    and those selectivities.  Extensions range over the full ``alphabet``.
 
-    Memory stays proportional to the live frontier: blocks whose product is
-    empty are dropped (zero-subtree pruning, exactly mirroring the DFS), and
-    all-zero *rows* are compressed away between levels
-    (:func:`~repro.graph.matrices.drop_zero_rows`) — loss-free because the
-    emitted counts are row-position independent.  Blocks are kept sorted by
-    ``(first digit, local value)``, so each level's emitted positions come
-    out sorted per root after one :func:`numpy.lexsort` over the level.
+    The path trie is walked in *stacked frontiers*.  A frontier holds the
+    boolean reachability matrices of many live prefixes of one length,
+    vertically stacked into one CSR matrix (one row block per prefix).
+    Extending it by a label is a single ``frontier @ M(label)`` product, and
+    the per-prefix path counts fall out of ``indptr`` differences at the
+    block boundaries (:func:`~repro.graph.matrices.block_nonzero_counts`).
+    Blocks whose product is empty are dropped (their whole subtree is zero),
+    and so are all-zero rows (:func:`_compact`) — loss-free, because each
+    count is a block total.  A label with no edge leaving a vertex the
+    frontier reaches (:meth:`~repro.graph.matrices.LabelMatrixStore.source_ids`)
+    cannot extend any block, so its product is skipped; on a delta patch its
+    matrix is then never built at all.
 
-    ``progress`` receives the cumulative processed-path count once per
-    completed level (the level's full ``|roots| · |L|^m`` slot count,
-    pruned or not), so totals match the DFS builders exactly even though
-    the cadence is coarser.
+    The frontier is bounded: the compacted products that form the next
+    level are collected only until they hold :data:`_FLUSH_ENTRIES` stored
+    entries, then stacked, multiplied onward depth-first and dropped.  Live
+    memory is therefore about one budget of parts per trie level plus a
+    single label's product, not a whole level.  Chunks are emitted in no
+    canonical order, so each level is sorted once at the end; the result
+    does not depend on the budget.
+
+    ``progress`` receives the running count of processed paths (evaluated,
+    or skipped below an empty prefix) after every label extension; it ends
+    at ``|roots| · Σ_{m<k} |L|^m`` — ``|Lk|`` for a full build.
     """
     base = len(alphabet)
     digit_of = {label: digit for digit, label in enumerate(alphabet)}
-    ordered_roots = sorted(roots, key=lambda label: digit_of[label])
+    starts = domain_block_starts(base, max_length)
+    # tails[m]: paths strictly below one prefix of length m + 1.
+    tails = [_subtree_tail_size(base, max_length - 1 - m) for m in range(max_length)]
+    found: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(max_length)]
     empty = np.empty(0, dtype=np.int64)
-    results: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
-        root: [] for root in ordered_roots
-    }
     processed = 0
 
-    def advance(count: int) -> None:
-        """Report progress after each completed frontier level."""
+    def record(
+        level: int,
+        digits: np.ndarray,
+        values: np.ndarray,
+        counts: np.ndarray,
+        evaluated: int,
+    ) -> None:
+        """Keep one chunk of nonzero paths of length ``level + 1``.
+
+        ``evaluated`` paths were computed; each one that came out empty also
+        settles its whole subtree, which progress counts as processed.
+        """
         nonlocal processed
-        processed += count
+        if counts.size:
+            indices = starts[level] + digits * base**level + values
+            found[level].append((indices, counts))
+        processed += evaluated + (evaluated - counts.size) * tails[level]
         if progress is not None:
             progress(processed)
 
-    # Level 0: the root matrices themselves seed the frontier, one block per
-    # root whose adjacency matrix has any edge at all.
-    parts: list[sparse.csr_matrix] = []
-    part_roots: list[int] = []
-    part_values: list[int] = []
-    part_heights: list[int] = []
-    for root in ordered_roots:
-        matrix = matrices[root]
-        count = int(matrix.nnz)
-        if count:
-            results[root].append(
-                (np.zeros(1, dtype=np.int64), np.array([count], dtype=np.int64))
-            )
-            kept = drop_zero_rows(matrix)
-            parts.append(kept)
-            part_roots.append(digit_of[root])
-            part_values.append(0)
-            part_heights.append(kept.shape[0])
-        else:
-            results[root].append((empty, empty.copy()))
-    advance(len(ordered_roots))
-
-    frontier: Optional[sparse.csr_matrix] = None
-    if parts:
-        frontier = sparse.vstack(parts, format="csr")
-        block_root = np.asarray(part_roots, dtype=np.int64)
-        block_value = np.asarray(part_values, dtype=np.int64)
-        block_ptr = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(part_heights, dtype=np.int64))
+    def descend(level: int, stacked: _Frontier) -> None:
+        """Extend a frontier of length ``level + 1`` prefixes by every label."""
+        frontier, digits, values, block_ptr = stacked
+        child = level + 1
+        collected = (
+            _Collected(lambda parts: descend(child, parts), store.dimension)
+            if child + 1 < max_length
+            else None
         )
-
-    for length in range(1, max_length):
-        level_paths = len(ordered_roots) * base**length
-        if frontier is None:
-            for root in ordered_roots:
-                results[root].append((empty, empty.copy()))
-            advance(level_paths)
-            continue
-        last = length + 1 == max_length
-        child_roots: list[np.ndarray] = []
-        child_values: list[np.ndarray] = []
-        child_counts: list[np.ndarray] = []
-        parts = []
-        next_roots: list[np.ndarray] = []
-        next_values: list[np.ndarray] = []
-        next_heights: list[np.ndarray] = []
+        reached = np.zeros(frontier.shape[1], dtype=bool)
+        reached[frontier.indices] = True
         for digit, label in enumerate(alphabet):
-            product = frontier @ matrices[label]
-            counts = block_nonzero_counts(product, block_ptr)
-            alive = np.nonzero(counts)[0]
-            if alive.size == 0:
+            if not reached[store.source_ids(label)].any():
+                record(child, empty, empty, empty, digits.size)
                 continue
-            children = block_value * base + digit
-            child_roots.append(block_root[alive])
-            child_values.append(children[alive])
-            child_counts.append(counts[alive])
-            if last:
-                continue
-            rows = np.nonzero(np.diff(product.indptr))[0]
-            parts.append(product[rows])
-            next_roots.append(block_root[alive])
-            next_values.append(children[alive])
-            next_heights.append(np.diff(np.searchsorted(rows, block_ptr))[alive])
-        if child_values:
-            roots_cat = np.concatenate(child_roots)
-            values_cat = np.concatenate(child_values)
-            counts_cat = np.concatenate(child_counts)
-            order = np.lexsort((values_cat, roots_cat))
-            roots_cat = roots_cat[order]
-            values_cat = values_cat[order]
-            counts_cat = counts_cat[order]
-            for root in ordered_roots:
-                digit = digit_of[root]
-                low, high = np.searchsorted(roots_cat, [digit, digit + 1])
-                if high > low:
-                    results[root].append(
-                        (values_cat[low:high].copy(), counts_cat[low:high].copy())
-                    )
-                else:
-                    results[root].append((empty, empty.copy()))
-        else:
-            for root in ordered_roots:
-                results[root].append((empty, empty.copy()))
-        advance(level_paths)
-        if last or not parts:
-            frontier = None
-            continue
-        frontier = sparse.vstack(parts, format="csr")
-        block_root = np.concatenate(next_roots)
-        block_value = np.concatenate(next_values)
-        block_ptr = np.concatenate(
-            (
-                np.zeros(1, dtype=np.int64),
-                np.cumsum(np.concatenate(next_heights), dtype=np.int64),
+            counts, part = _extend_blocks(
+                frontier, block_ptr, store.matrix(label), collected is not None
             )
-        )
-    return results
+            alive = np.flatnonzero(counts)
+            children = values[alive] * base + digit
+            record(child, digits[alive], children, counts[alive], digits.size)
+            if part is not None:
+                indices, row_ends, heights = part
+                collected.add(
+                    indices, row_ends, digits[alive], children, heights[alive]
+                )
+        if collected is not None:
+            collected.flush()
 
-
-# Per-process state for the ``process`` backend, populated by the pool
-# initializer so the CSR matrices are shipped to each worker exactly once.
-_PROCESS_STATE: dict[str, object] = {}
-
-
-def _init_process_worker(
-    matrices: Mapping[str, sparse.csr_matrix],
-    alphabet: Sequence[str],
-    max_length: int,
-) -> None:
-    _PROCESS_STATE["matrices"] = matrices
-    _PROCESS_STATE["alphabet"] = tuple(alphabet)
-    _PROCESS_STATE["max_length"] = max_length
-
-
-def _process_subtree(first_label: str) -> tuple[str, list[np.ndarray]]:
-    levels = _subtree_levels(
-        _PROCESS_STATE["matrices"],  # type: ignore[arg-type]
-        _PROCESS_STATE["alphabet"],  # type: ignore[arg-type]
-        first_label,
-        _PROCESS_STATE["max_length"],  # type: ignore[arg-type]
+    # Level 0: the root matrices themselves, one block each.
+    collected = (
+        _Collected(lambda parts: descend(0, parts), store.dimension)
+        if max_length > 1
+        else None
     )
-    return first_label, levels
+    zero = np.zeros(1, dtype=np.int64)
+    seed_ptr = np.array([0, store.dimension], dtype=np.int64)
+    for root in sorted(roots, key=digit_of.__getitem__):
+        matrix = store.matrix(root)
+        digit = np.array([digit_of[root]], dtype=np.int64)
+        count = np.array([matrix.nnz], dtype=np.int64)
+        record(0, digit, zero, count[count > 0], 1)
+        if collected is not None and matrix.nnz:
+            indices, row_ends, height = _compact(matrix, seed_ptr)
+            collected.add(indices, row_ends, digit, zero, height)
+    if collected is not None:
+        collected.flush()
+
+    index_chunks: list[np.ndarray] = []
+    count_chunks: list[np.ndarray] = []
+    for chunks in found:
+        if not chunks:
+            continue
+        indices = np.concatenate([chunk[0] for chunk in chunks])
+        counts = np.concatenate([chunk[1] for chunk in chunks])
+        order = np.argsort(indices)
+        index_chunks.append(indices[order])
+        count_chunks.append(counts[order])
+    if not index_chunks:
+        return empty, empty.copy()
+    return np.concatenate(index_chunks), np.concatenate(count_chunks)
 
 
-def _process_subtree_nonzeros(
-    first_label: str,
-) -> tuple[str, list[tuple[np.ndarray, np.ndarray]]]:
-    levels = _subtree_nonzeros(
-        _PROCESS_STATE["matrices"],  # type: ignore[arg-type]
-        _PROCESS_STATE["alphabet"],  # type: ignore[arg-type]
-        first_label,
-        _PROCESS_STATE["max_length"],  # type: ignore[arg-type]
-    )
-    return first_label, levels
-
-
-def _merge_subtree(
-    vector: np.ndarray,
-    starts: np.ndarray,
-    base: int,
-    first_digit: int,
-    levels: Sequence[np.ndarray],
-) -> None:
-    """Slice-assign one first-label subtree into the full domain vector."""
-    for level_index, level in enumerate(levels):
-        width = base**level_index
-        offset = int(starts[level_index]) + first_digit * width
-        vector[offset:offset + width] = level
-
-
-def _merge_subtree_nonzeros(
-    vector: np.ndarray,
-    starts: np.ndarray,
-    base: int,
-    first_digit: int,
-    levels: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> None:
-    """Scatter one subtree's nonzero levels into the full domain vector.
-
-    The sparse counterpart of :func:`_merge_subtree`: each level's slice is
-    zeroed first (the vector may hold stale pre-delta values on the update
-    path) and the nonzero counts are scattered at their local positions.
-    """
-    for level_index, (locals_, counts) in enumerate(levels):
-        width = base**level_index
-        offset = int(starts[level_index]) + first_digit * width
-        vector[offset:offset + width] = 0
-        if locals_.size:
-            vector[offset + locals_] = counts
-
-
-def compute_selectivity_vector(
-    graph: LabeledDiGraph,
-    max_length: int,
-    *,
-    labels: Optional[Sequence[str]] = None,
-    store: Optional[LabelMatrixStore] = None,
-    progress: Optional[Callable[[int], None]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-) -> np.ndarray:
-    """Compute ``f(ℓ)`` for every ``ℓ ∈ Lk`` as an index-aligned vector.
-
-    The returned ``int64`` array has ``|Lk|`` entries; position ``i`` holds
-    the selectivity of the ``i``-th path of the canonical
-    numerical-alphabetical enumeration (see
-    :func:`repro.paths.index.path_to_domain_index`).  This is the columnar
-    representation :class:`~repro.paths.catalog.SelectivityCatalog` stores
-    and the V-optimal DP consumes directly.
-
-    Compared with :func:`compute_selectivities` the columnar builder performs
-    zero ``LabelPath`` allocations and zero dict inserts, and subtrees of an
-    empty prefix cost O(1) instead of one tuple per descendant path — on
-    sparse graphs at large ``k`` that is almost the whole domain.
-
-    Parameters
-    ----------
-    backend:
-        ``"serial"``, ``"thread"``, ``"process"`` or ``"matrix"`` (``None``
-        resolves via :func:`resolve_backend`: threads when ``workers > 1``,
-        serial otherwise).  Both parallel backends shard the ``|L|``
-        first-label subtrees of the path trie; threads share the CSR
-        matrices in memory (scipy's matmul releases the GIL), processes
-        receive them once via the pool initializer and return per-subtree
-        arrays that are merged by slice assignment.  ``"matrix"`` runs the
-        level-synchronous stacked matrix-chain kernel
-        (:func:`_matrix_subtrees_nonzeros`) in a single worker; its output
-        is byte-identical to the DFS backends.
-    workers:
-        Worker count for the parallel backends (default
-        ``min(|L|, cpu_count)``, capped at ``|L|``).  A resolved count of
-        one degrades to serial.
-    progress:
-        Combined running path count across subtrees.  With the ``process``
-        backend the callback fires once per completed subtree (counts cannot
-        stream across process boundaries cheaply); with ``serial`` and
-        ``thread`` it fires about every 1000 paths.
-    """
+# ----------------------------------------------------------------------
+# entry points
+# ----------------------------------------------------------------------
+def _alphabet_of(
+    graph: LabeledDiGraph, max_length: int, labels: Optional[Sequence[str]]
+) -> tuple[str, ...]:
+    """The sorted build alphabet, validating ``max_length`` and emptiness."""
     if max_length < 1:
         raise PathError("max_length must be >= 1")
     alphabet = tuple(sorted(labels) if labels is not None else graph.labels())
-    backend, worker_count = resolve_backend(backend, workers, len(alphabet) or 1)
     if not alphabet:
         raise PathError("the graph has no edge labels to enumerate")
+    return alphabet
+
+
+def _cold_nonzeros(
+    graph: LabeledDiGraph,
+    alphabet: tuple[str, ...],
+    max_length: int,
+    store: Optional[LabelMatrixStore],
+    progress: Optional[Callable[[int], None]],
+    span: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the kernel over every root, timed into the build metric and trace."""
     matrix_store = store if store is not None else LabelMatrixStore(graph, labels=alphabet)
-    matrices = matrix_store.as_dict(alphabet)
-    starts = domain_block_starts(len(alphabet), max_length)
-    vector = np.zeros(int(starts[-1]), dtype=np.int64)
     started = time.perf_counter()
-    _build_subtrees_into(
-        vector,
-        matrices,
-        alphabet,
-        alphabet,
-        max_length,
-        starts,
-        backend,
-        worker_count,
-        progress,
+    result = _matrix_subtrees_nonzeros(
+        matrix_store, alphabet, alphabet, max_length, progress
     )
     elapsed = time.perf_counter() - started
-    _CATALOG_BUILD_SECONDS.observe(elapsed, backend=backend)
+    _CATALOG_BUILD_SECONDS.observe(elapsed)
     trace = tracing.current_trace()
     if trace is not None:
-        trace.add_span("catalog.vector", elapsed, backend=backend, labels=len(alphabet))
-    return vector
-
-
-def _build_subtrees_into(
-    vector: np.ndarray,
-    matrices: Mapping[str, sparse.csr_matrix],
-    alphabet: Sequence[str],
-    roots: Sequence[str],
-    max_length: int,
-    starts: np.ndarray,
-    backend: str,
-    worker_count: int,
-    progress: Optional[Callable[[int], None]],
-) -> None:
-    """Evaluate the subtrees rooted at ``roots`` and slice-assign into ``vector``.
-
-    Shared core of :func:`compute_selectivity_vector` (``roots = alphabet``)
-    and :func:`update_selectivity_vector` (``roots`` = the affected first
-    labels); extensions always range over the full ``alphabet``.
-    """
-    base = len(alphabet)
-    digit_of = {label: digit for digit, label in enumerate(alphabet)}
-
-    if backend == "matrix":
-        aggregator = _ProgressAggregator(progress)
-        results = _matrix_subtrees_nonzeros(
-            matrices, alphabet, roots, max_length, progress=aggregator.adapter()
-        )
-        for label in roots:
-            _merge_subtree_nonzeros(
-                vector, starts, base, digit_of[label], results[label]
-            )
-        return
-
-    if backend == "serial":
-        aggregator = _ProgressAggregator(progress)
-        for label in roots:
-            levels = _subtree_levels(
-                matrices, alphabet, label, max_length, progress=aggregator.adapter()
-            )
-            _merge_subtree(vector, starts, base, digit_of[label], levels)
-        return
-
-    if backend == "thread":
-        aggregator = _ProgressAggregator(progress)
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            futures = [
-                pool.submit(
-                    _subtree_levels,
-                    matrices,
-                    alphabet,
-                    label,
-                    max_length,
-                    progress=aggregator.adapter(),
-                )
-                for label in roots
-            ]
-            for label, future in zip(roots, futures):
-                _merge_subtree(vector, starts, base, digit_of[label], future.result())
-        return
-
-    # process backend
-    aggregator = _ProgressAggregator(progress)
-    subtree_size = 1 + _subtree_tail_size(base, max_length - 1)
-    with ProcessPoolExecutor(
-        max_workers=worker_count,
-        initializer=_init_process_worker,
-        initargs=(matrices, tuple(alphabet), max_length),
-    ) as pool:
-        for label, levels in pool.map(_process_subtree, roots):
-            _merge_subtree(vector, starts, base, digit_of[label], levels)
-            aggregator.bump(subtree_size)
-
-
-def _collect_subtrees_nonzeros(
-    matrices: Mapping[str, sparse.csr_matrix],
-    alphabet: Sequence[str],
-    roots: Sequence[str],
-    max_length: int,
-    backend: str,
-    worker_count: int,
-    progress: Optional[Callable[[int], None]],
-) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
-    """Per-root :func:`_subtree_nonzeros` results, through the chosen backend.
-
-    The sparse sibling of :func:`_build_subtrees_into`; results are keyed by
-    first label so callers can assemble (or splice) them in digit order.
-    """
-    base = len(alphabet)
-    results: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-
-    if backend == "matrix":
-        aggregator = _ProgressAggregator(progress)
-        return _matrix_subtrees_nonzeros(
-            matrices, alphabet, roots, max_length, progress=aggregator.adapter()
-        )
-
-    if backend == "serial":
-        aggregator = _ProgressAggregator(progress)
-        for label in roots:
-            results[label] = _subtree_nonzeros(
-                matrices, alphabet, label, max_length, progress=aggregator.adapter()
-            )
-        return results
-
-    if backend == "thread":
-        aggregator = _ProgressAggregator(progress)
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            futures = [
-                pool.submit(
-                    _subtree_nonzeros,
-                    matrices,
-                    alphabet,
-                    label,
-                    max_length,
-                    progress=aggregator.adapter(),
-                )
-                for label in roots
-            ]
-            for label, future in zip(roots, futures):
-                results[label] = future.result()
-        return results
-
-    # process backend
-    aggregator = _ProgressAggregator(progress)
-    subtree_size = 1 + _subtree_tail_size(base, max_length - 1)
-    with ProcessPoolExecutor(
-        max_workers=worker_count,
-        initializer=_init_process_worker,
-        initargs=(matrices, tuple(alphabet), max_length),
-    ) as pool:
-        for label, levels in pool.map(_process_subtree_nonzeros, roots):
-            results[label] = levels
-            aggregator.bump(subtree_size)
-    return results
-
-
-def _assemble_nonzeros(
-    results: Mapping[str, list[tuple[np.ndarray, np.ndarray]]],
-    alphabet: Sequence[str],
-    roots: Sequence[str],
-    starts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-subtree nonzero levels into sorted global arrays.
-
-    The canonical order is length-major and, within a length, first-digit
-    major; concatenating levels in length order and subtrees in digit order
-    therefore yields globally sorted domain indices without a sort.
-    """
-    base = len(alphabet)
-    digit_of = {label: digit for digit, label in enumerate(alphabet)}
-    ordered_roots = sorted(roots, key=lambda label: digit_of[label])
-    max_length = len(starts) - 1
-    index_chunks: list[np.ndarray] = []
-    count_chunks: list[np.ndarray] = []
-    for level_index in range(max_length):
-        width = base**level_index
-        for label in ordered_roots:
-            locals_, counts = results[label][level_index]
-            if locals_.size:
-                offset = int(starts[level_index]) + digit_of[label] * width
-                index_chunks.append(offset + locals_)
-                count_chunks.append(counts)
-    if not index_chunks:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    return np.concatenate(index_chunks), np.concatenate(count_chunks)
+        trace.add_span(span, elapsed, labels=len(alphabet))
+    return result
 
 
 def compute_selectivity_nonzeros(
@@ -976,8 +391,6 @@ def compute_selectivity_nonzeros(
     labels: Optional[Sequence[str]] = None,
     store: Optional[LabelMatrixStore] = None,
     progress: Optional[Callable[[int], None]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compute the nonzero part of ``f`` over ``Lk`` as aligned sparse arrays.
 
@@ -989,29 +402,47 @@ def compute_selectivity_nonzeros(
     the progress counter, so scenarios whose dense vector would not fit
     (``|L|=20, k=6`` is 64M entries) build in the space of their signal.
 
-    Parameters are as in :func:`compute_selectivity_vector`; the traversal,
-    backends and progress semantics are shared.
+    Parameters
+    ----------
+    labels:
+        The alphabet (default: the graph's labels); labels without edges
+        root all-zero subtrees.
+    store:
+        A :class:`~repro.graph.matrices.LabelMatrixStore` to reuse.
+    progress:
+        Called with the running count of processed paths after every
+        label extension of the kernel; the last call reports ``|Lk|``.
     """
-    if max_length < 1:
-        raise PathError("max_length must be >= 1")
-    alphabet = tuple(sorted(labels) if labels is not None else graph.labels())
-    backend, worker_count = resolve_backend(backend, workers, len(alphabet) or 1)
-    if not alphabet:
-        raise PathError("the graph has no edge labels to enumerate")
-    matrix_store = store if store is not None else LabelMatrixStore(graph, labels=alphabet)
-    matrices = matrix_store.as_dict(alphabet)
-    starts = domain_block_starts(len(alphabet), max_length)
-    started = time.perf_counter()
-    results = _collect_subtrees_nonzeros(
-        matrices, alphabet, alphabet, max_length, backend, worker_count, progress
+    alphabet = _alphabet_of(graph, max_length, labels)
+    return _cold_nonzeros(graph, alphabet, max_length, store, progress, "catalog.nonzeros")
+
+
+def compute_selectivity_vector(
+    graph: LabeledDiGraph,
+    max_length: int,
+    *,
+    labels: Optional[Sequence[str]] = None,
+    store: Optional[LabelMatrixStore] = None,
+    progress: Optional[Callable[[int], None]] = None,
+) -> np.ndarray:
+    """Compute ``f(ℓ)`` for every ``ℓ ∈ Lk`` as an index-aligned vector.
+
+    The returned ``int64`` array has ``|Lk|`` entries; position ``i`` holds
+    the selectivity of the ``i``-th path of the canonical
+    numerical-alphabetical enumeration (see
+    :func:`repro.paths.index.path_to_domain_index`).  This is the columnar
+    representation :class:`~repro.paths.catalog.SelectivityCatalog` stores
+    and the V-optimal DP consumes directly: the kernel's nonzero counts
+    scattered into a zero-initialised vector.  Parameters are as in
+    :func:`compute_selectivity_nonzeros`.
+    """
+    alphabet = _alphabet_of(graph, max_length, labels)
+    indices, counts = _cold_nonzeros(
+        graph, alphabet, max_length, store, progress, "catalog.vector"
     )
-    assembled = _assemble_nonzeros(results, alphabet, alphabet, starts)
-    elapsed = time.perf_counter() - started
-    _CATALOG_BUILD_SECONDS.observe(elapsed, backend=backend)
-    trace = tracing.current_trace()
-    if trace is not None:
-        trace.add_span("catalog.nonzeros", elapsed, backend=backend, labels=len(alphabet))
-    return assembled
+    vector = np.zeros(domain_size(len(alphabet), max_length), dtype=np.int64)
+    vector[indices] = counts
+    return vector
 
 
 def subtree_level_ranges(
@@ -1022,7 +453,7 @@ def subtree_level_ranges(
     One ``(low, high)`` range per path length: the length-``m + 1`` slice of
     the subtree rooted at the label with digit ``first_digit`` is
     ``[starts[m] + d·|L|^m, starts[m] + (d + 1)·|L|^m)``.  These are the
-    exact ranges the sparse delta patch replaces.
+    exact ranges a delta patch replaces.
     """
     starts = domain_block_starts(label_count, max_length)
     ranges: list[tuple[int, int]] = []
@@ -1031,6 +462,24 @@ def subtree_level_ranges(
         low = int(starts[level_index]) + first_digit * width
         ranges.append((low, low + width))
     return ranges
+
+
+def _patch_nonzeros(
+    graph: LabeledDiGraph,
+    alphabet: tuple[str, ...],
+    max_length: int,
+    affected: Sequence[str],
+    store: Optional[LabelMatrixStore],
+    progress: Optional[Callable[[int], None]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh nonzeros of the ``affected`` subtrees on the post-delta graph."""
+    unknown = sorted(set(affected) - set(alphabet))
+    if unknown:
+        raise PathError(f"affected labels outside the alphabet: {', '.join(unknown)}")
+    matrix_store = store if store is not None else LabelMatrixStore(graph, labels=alphabet)
+    return _matrix_subtrees_nonzeros(
+        matrix_store, alphabet, affected, max_length, progress
+    )
 
 
 def update_selectivity_nonzeros(
@@ -1043,26 +492,19 @@ def update_selectivity_nonzeros(
     labels: Optional[Sequence[str]] = None,
     store: Optional[LabelMatrixStore] = None,
     progress: Optional[Callable[[int], None]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     affected: Optional[Sequence[str]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Patch sparse ``(indices, counts)`` arrays after ``delta``.
 
     The sparse counterpart of :func:`update_selectivity_vector`: only the
     first-label subtrees :func:`~repro.graph.delta.affected_first_labels`
-    flags are re-evaluated (sparsely, on the post-delta ``graph``); every
-    old entry outside the affected subtrees' index ranges is kept as is.
-    The result equals a cold :func:`compute_selectivity_nonzeros` on the
-    post-delta graph.  Caller contract (post-delta graph, stable alphabet,
-    optional precomputed ``affected``) is as in
-    :func:`update_selectivity_vector`.
+    flags are re-evaluated (on the post-delta ``graph``); every old entry
+    outside the affected subtrees' index ranges is kept as is.  The result
+    equals a cold :func:`compute_selectivity_nonzeros` on the post-delta
+    graph.  Caller contract (post-delta graph, stable alphabet, optional
+    precomputed ``affected``) is as in :func:`update_selectivity_vector`.
     """
-    if max_length < 1:
-        raise PathError("max_length must be >= 1")
-    alphabet = tuple(sorted(labels) if labels is not None else graph.labels())
-    if not alphabet:
-        raise PathError("the graph has no edge labels to enumerate")
+    alphabet = _alphabet_of(graph, max_length, labels)
     old_indices = np.ascontiguousarray(old_indices, dtype=np.int64)
     old_counts = np.ascontiguousarray(old_counts, dtype=np.int64)
     if old_indices.shape != old_counts.shape or old_indices.ndim != 1:
@@ -1073,26 +515,13 @@ def update_selectivity_nonzeros(
         affected = affected_first_labels(graph, delta, max_length, labels=alphabet)
     if not affected:
         return old_indices.copy(), old_counts.copy()
-    backend, worker_count = resolve_backend(backend, workers, len(affected))
-    matrix_store = store if store is not None else LabelMatrixStore(graph, labels=alphabet)
-    matrices = matrix_store.as_dict(alphabet)
-    starts = domain_block_starts(len(alphabet), max_length)
-    digit_of = {label: digit for digit, label in enumerate(alphabet)}
-    unknown = sorted(set(affected) - set(alphabet))
-    if unknown:
-        raise PathError(
-            f"affected labels outside the alphabet: {', '.join(unknown)}"
-        )
-
-    results = _collect_subtrees_nonzeros(
-        matrices, alphabet, tuple(affected), max_length, backend, worker_count, progress
-    )
-    fresh_indices, fresh_counts = _assemble_nonzeros(
-        results, alphabet, tuple(affected), starts
+    fresh_indices, fresh_counts = _patch_nonzeros(
+        graph, alphabet, max_length, affected, store, progress
     )
 
     # Drop every retained entry that falls inside an affected subtree's
     # ranges, then merge the (disjoint) fresh entries back in sorted order.
+    digit_of = {label: digit for digit, label in enumerate(alphabet)}
     keep = np.ones(old_indices.size, dtype=bool)
     for label in affected:
         for low, high in subtree_level_ranges(
@@ -1100,10 +529,8 @@ def update_selectivity_nonzeros(
         ):
             first, last = np.searchsorted(old_indices, [low, high])
             keep[first:last] = False
-    kept_indices = old_indices[keep]
-    kept_counts = old_counts[keep]
-    merged_indices = np.concatenate((kept_indices, fresh_indices))
-    merged_counts = np.concatenate((kept_counts, fresh_counts))
+    merged_indices = np.concatenate((old_indices[keep], fresh_indices))
+    merged_counts = np.concatenate((old_counts[keep], fresh_counts))
     order = np.argsort(merged_indices, kind="stable")
     return merged_indices[order], merged_counts[order]
 
@@ -1117,8 +544,6 @@ def update_selectivity_vector(
     labels: Optional[Sequence[str]] = None,
     store: Optional[LabelMatrixStore] = None,
     progress: Optional[Callable[[int], None]] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     affected: Optional[Sequence[str]] = None,
 ) -> np.ndarray:
     """Patch a frequency vector after ``delta`` without a full cold rebuild.
@@ -1127,10 +552,9 @@ def update_selectivity_vector(
     of :func:`compute_selectivity_vector` for the pre-delta graph over the
     same ``labels`` alphabet and ``max_length``.  Only the first-label
     subtree slices that :func:`~repro.graph.delta.affected_first_labels`
-    flags are re-evaluated (exactly, on the new graph, through the same
-    serial/thread/process/matrix backends as a cold build — the matrix
-    kernel simply stacks only the affected subtrees); every other slice is
-    copied from ``old_vector``.  The result is byte-identical to a cold
+    flags are re-evaluated (exactly, on the new graph: the kernel simply
+    starts from the affected roots); every other slice is copied from
+    ``old_vector``.  The result is byte-identical to a cold
     :func:`compute_selectivity_vector` on the post-delta graph.
 
     The caller is responsible for keeping the domain stable: when the delta
@@ -1141,19 +565,14 @@ def update_selectivity_vector(
     fallback.  A delta label outside ``labels`` raises
     :class:`~repro.exceptions.GraphError`.
 
-    Parameters are as in :func:`compute_selectivity_vector`; ``workers`` is
-    additionally capped at the number of *affected* subtrees.  ``progress``
+    Parameters are as in :func:`compute_selectivity_vector`.  ``progress``
     reports processed paths of the recomputed subtrees only.  ``affected``,
     when given, is a precomputed :func:`affected_first_labels` result for
     this exact (graph, delta, alphabet) — callers that already ran the
     analysis (the engine does, for its stats) pass it through so it is not
     recomputed; soundness is theirs to guarantee.
     """
-    if max_length < 1:
-        raise PathError("max_length must be >= 1")
-    alphabet = tuple(sorted(labels) if labels is not None else graph.labels())
-    if not alphabet:
-        raise PathError("the graph has no edge labels to enumerate")
+    alphabet = _alphabet_of(graph, max_length, labels)
     expected = domain_size(len(alphabet), max_length)
     old_vector = np.asarray(old_vector)
     if old_vector.shape != (expected,):
@@ -1166,19 +585,14 @@ def update_selectivity_vector(
     vector = np.array(old_vector, dtype=np.int64)
     if not affected:
         return vector
-    backend, worker_count = resolve_backend(backend, workers, len(affected))
-    matrix_store = store if store is not None else LabelMatrixStore(graph, labels=alphabet)
-    matrices = matrix_store.as_dict(alphabet)
-    starts = domain_block_starts(len(alphabet), max_length)
-    _build_subtrees_into(
-        vector,
-        matrices,
-        alphabet,
-        affected,
-        max_length,
-        starts,
-        backend,
-        worker_count,
-        progress,
+    indices, counts = _patch_nonzeros(
+        graph, alphabet, max_length, affected, store, progress
     )
+    digit_of = {label: digit for digit, label in enumerate(alphabet)}
+    for label in affected:
+        for low, high in subtree_level_ranges(
+            len(alphabet), max_length, digit_of[label]
+        ):
+            vector[low:high] = 0
+    vector[indices] = counts
     return vector

@@ -192,6 +192,10 @@ class _ArtifactHandler(BaseHTTPRequestHandler):
     server: ArtifactHTTPServer  # narrowed for attribute access
     server_version = "repro-artifacts/1.0"
     protocol_version = "HTTP/1.1"
+    # One buffered write per response with TCP_NODELAY, as in the
+    # estimation server: no delayed-ACK stall on keep-alive connections.
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     _request_id = ""
     _status = 0

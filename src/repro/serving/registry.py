@@ -285,7 +285,7 @@ class SessionRegistry:
         :meth:`~repro.engine.session.EstimationSession.memory_bytes`.  The
         most recently used session is never evicted, so a single oversized
         session still serves.
-    workers / backend / mmap:
+    mmap:
         Forwarded to :meth:`EstimationSession.build`.
     prune_cache_bytes:
         When set, :meth:`ArtifactCache.prune` runs after every build so the
@@ -306,8 +306,6 @@ class SessionRegistry:
         cache_dir: Optional[Union[str, Path, ArtifactCache]] = None,
         max_sessions: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
         mmap: bool = False,
         prune_cache_bytes: Optional[int] = None,
         default_config: Optional[EngineConfig] = None,
@@ -328,8 +326,6 @@ class SessionRegistry:
             self._cache = ArtifactCache(cache_dir)
         self._max_sessions = max_sessions
         self._max_bytes = max_bytes
-        self._workers = workers
-        self._backend = backend
         self._mmap = mmap
         self._prune_cache_bytes = prune_cache_bytes
         self._breaker_threshold = breaker_threshold or 0
@@ -567,8 +563,6 @@ class SessionRegistry:
                 graph,
                 source.config,
                 cache_dir=self._cache,
-                workers=self._workers,
-                backend=self._backend,
                 mmap=self._mmap,
             )
         build_seconds = time.perf_counter() - started
@@ -654,10 +648,7 @@ class SessionRegistry:
                 )
             with tracing.span("registry.update", graph=name):
                 new_session = session.update(
-                    delta,
-                    workers=self._workers,
-                    backend=self._backend,
-                    graph=session.graph.copy() if graph_is_shared else None,
+                    delta, graph=session.graph.copy() if graph_is_shared else None
                 )
             update_seconds = time.perf_counter() - started
             stats = new_session.stats

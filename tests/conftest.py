@@ -10,16 +10,49 @@ The fixtures provide a ladder of graphs and catalogs:
   statistics but cheap enough for every test;
 * ``moreno_tiny`` / ``moreno_tiny_catalog`` — a heavily scaled-down
   Moreno Health stand-in used by the experiment tests.
+
+``oracle_vector`` is the catalog builder's reference on small domains: one
+independent matrix chain per path, sharing no code with the kernel.
 """
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
+import numpy as np
 import pytest
 
 from repro.datasets.registry import moreno_like
 from repro.graph.digraph import LabeledDiGraph
 from repro.graph.generators import zipf_labeled_graph
+from repro.graph.matrices import LabelMatrixStore
 from repro.paths.catalog import SelectivityCatalog
+from repro.paths.enumeration import enumerate_label_paths
+
+
+def _oracle_vector(
+    graph: LabeledDiGraph, max_length: int, labels: Optional[Sequence[str]] = None
+) -> np.ndarray:
+    """``f`` over ``Lk`` in canonical order, one matrix chain per path.
+
+    :meth:`LabelMatrixStore.path_selectivity` of every path of
+    :func:`enumerate_label_paths` — no prefix sharing, stacking or pruning.
+    """
+    alphabet = sorted(labels) if labels is not None else graph.labels()
+    store = LabelMatrixStore(graph, labels=alphabet)
+    return np.array(
+        [
+            store.path_selectivity(path.labels)
+            for path in enumerate_label_paths(alphabet, max_length)
+        ],
+        dtype=np.int64,
+    )
+
+
+@pytest.fixture(scope="session")
+def oracle_vector():
+    """The per-path reference builder: ``oracle_vector(graph, k, labels=None)``."""
+    return _oracle_vector
 
 
 @pytest.fixture()

@@ -169,18 +169,6 @@ class TestSessionUsesColumnarArtifact:
         # the next start takes the npz fast path.
         assert cache.catalog_path(warm.stats.catalog_key).exists()
 
-    def test_process_backend_session_matches_serial(self, small_graph):
-        config = EngineConfig(max_length=2, bucket_count=8)
-        serial = EstimationSession.build(small_graph, config)
-        process = EstimationSession.build(
-            small_graph, config, workers=2, backend="process"
-        )
-        assert process.stats.backend == "process"
-        paths = [str(p) for p in serial.catalog.paths()]
-        assert np.allclose(
-            serial.estimate_batch(paths), process.estimate_batch(paths)
-        )
-
     def test_catalog_format_version_in_cache_key(self):
         # The config digest must cover the artifact format so a layout change
         # re-keys the artifact instead of half-trusting a stale entry, and

@@ -10,7 +10,9 @@ validation surface (names, body cap, digest-verified uploads).
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -147,6 +149,26 @@ class TestArtifactServer:
             assert json.loads(response.read())["writable"] is True
         with urllib.request.urlopen(f"{url}/metrics", timeout=5) as response:
             assert b"repro_artifact_requests_total" in response.read()
+
+    def test_keep_alive_requests_skip_delayed_ack(self, server, url, catalog_file):
+        # Each response must leave in one write with TCP_NODELAY; headers and
+        # body in two sends make every keep-alive request wait out the
+        # client's ~40 ms delayed ACK.
+        assert _store(url).push(catalog_file) is True
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        seconds = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", f"/v1/artifacts/{catalog_file.name}")
+                response = connection.getresponse()
+                assert response.read() == catalog_file.read_bytes()
+                assert response.status == 200
+                seconds.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.020
 
 
 class TestRemoteFetch:

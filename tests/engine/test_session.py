@@ -105,8 +105,8 @@ class TestCacheBehavior:
         import repro.paths.enumeration as enumeration_module
 
         monkeypatch.setattr(catalog_module, "compute_selectivity_vector", explode)
-        monkeypatch.setattr(enumeration_module, "compute_selectivities", explode)
-        monkeypatch.setattr(enumeration_module, "compute_selectivities_parallel", explode)
+        monkeypatch.setattr(catalog_module, "compute_selectivity_nonzeros", explode)
+        monkeypatch.setattr(enumeration_module, "_matrix_subtrees_nonzeros", explode)
         warm = EstimationSession.build(small_graph, CONFIG, cache_dir=tmp_path)
         assert warm.stats.catalog_from_cache
 
@@ -161,61 +161,26 @@ class TestCacheBehavior:
         )
 
 
-class TestParallelCatalog:
-    def test_parallel_equals_serial(self, small_graph):
-        from repro.paths.enumeration import (
-            compute_selectivities,
-            compute_selectivities_parallel,
+class TestCatalogOracle:
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_cold_and_updated_catalogs_match_per_path_oracle(
+        self, small_graph, oracle_vector, storage
+    ):
+        from repro.graph.delta import GraphDelta
+
+        config = EngineConfig(max_length=3, bucket_count=16, storage=storage)
+        graph = small_graph.copy()
+        session = EstimationSession.build(graph, config)
+        assert session.catalog.storage == storage
+        assert np.array_equal(
+            session.catalog.frequency_vector(), oracle_vector(graph, 3)
         )
-
-        serial = compute_selectivities(small_graph, 3)
-        parallel = compute_selectivities_parallel(small_graph, 3, workers=4)
-        assert serial == parallel
-
-    def test_from_graph_workers_equals_serial(self, small_graph):
-        from repro.paths.catalog import SelectivityCatalog
-
-        serial = SelectivityCatalog.from_graph(small_graph, 3)
-        parallel = SelectivityCatalog.from_graph(small_graph, 3, workers=4)
-        assert dict(serial.items()) == dict(parallel.items())
-
-    def test_roots_restriction(self, small_graph):
-        from repro.paths.enumeration import compute_selectivities
-
-        labels = small_graph.labels()
-        full = compute_selectivities(small_graph, 2)
-        rooted = compute_selectivities(small_graph, 2, roots=labels[:1])
-        assert set(rooted) == {
-            path for path in full if path.first == labels[0]
-        }
-        assert all(full[path] == value for path, value in rooted.items())
-
-    def test_bad_roots_rejected(self, small_graph):
-        from repro.exceptions import PathError
-        from repro.paths.enumeration import compute_selectivities
-
-        with pytest.raises(PathError):
-            compute_selectivities(small_graph, 2, roots=["nope"])
-
-    def test_parallel_progress_reports_combined_total(self):
-        # The callback fires every 1000 paths, so the domain must be large
-        # enough for several ticks per first-label subtree (10^4 paths here).
-        from repro.graph.generators import zipf_labeled_graph
-        from repro.paths.enumeration import compute_selectivities_parallel, domain_size
-
-        graph = zipf_labeled_graph(30, 150, 10, skew=1.0, seed=5, name="progress")
-        labels = graph.labels()
-        seen: list[int] = []
-        compute_selectivities_parallel(graph, 4, workers=4, progress=seen.append)
-        total = domain_size(len(labels), 4)
-        assert seen, "progress callback never invoked"
-        assert max(seen) <= total
-        # combined counts must cross a single subtree's share of the domain
-        assert max(seen) > total // len(labels)
-
-    def test_bad_worker_count_rejected(self, small_graph):
-        from repro.exceptions import PathError
-        from repro.paths.enumeration import compute_selectivities_parallel
-
-        with pytest.raises(PathError):
-            compute_selectivities_parallel(small_graph, 2, workers=0)
+        first = graph.labels()[0]
+        delta = GraphDelta(
+            additions=[(0, first, 1)], removals=[tuple(next(iter(graph.edges())))]
+        )
+        updated = session.update(delta)
+        assert updated.catalog.storage == storage
+        assert np.array_equal(
+            updated.catalog.frequency_vector(), oracle_vector(graph, 3)
+        )

@@ -76,3 +76,27 @@ class TestLabelMatrixStore:
         before = store.matrix("x").nnz
         triangle_graph.add_edge("c", "x", "a")
         assert store.matrix("x").nnz == before
+
+    def test_matrix_is_canonical_csr(self):
+        from repro.graph.generators import zipf_labeled_graph
+
+        graph = zipf_labeled_graph(60, 300, 3, skew=1.0, seed=5)
+        store = LabelMatrixStore(graph)
+        for label in store.labels:
+            matrix = store.matrix(label)
+            rows, cols = graph.edge_index_arrays(label)
+            expected = {(int(r), int(c)) for r, c in zip(rows, cols)}
+            assert set(zip(*(axis.tolist() for axis in matrix.nonzero()))) == expected
+            assert matrix.has_canonical_format
+
+    def test_source_ids_are_the_nonzero_rows(self, triangle_graph):
+        from_graph = LabelMatrixStore(triangle_graph, labels=["x", "y", "z", "w"])
+        from_matrix = LabelMatrixStore(triangle_graph, labels=["x", "y", "z", "w"])
+        for label in ("x", "y", "z"):
+            expected = sorted(set(from_matrix.matrix(label).nonzero()[0].tolist()))
+            assert sorted(from_graph.source_ids(label).tolist()) == expected
+            assert sorted(from_matrix.source_ids(label).tolist()) == expected
+        # In the alphabet but without edges: no sources, and no matrix built.
+        assert from_graph.source_ids("w").size == 0
+        with pytest.raises(UnknownLabelError):
+            from_graph.source_ids("nope")

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import PathError
 from repro.paths.enumeration import (
-    compute_selectivities,
+    compute_selectivity_nonzeros,
+    compute_selectivity_vector,
     domain_size,
     enumerate_label_paths,
 )
 from repro.paths.evaluation import MatrixPathEvaluator
 from repro.paths.label_path import LabelPath
+
+
+def selectivities(graph, max_length, labels=None):
+    """``LabelPath -> f`` over the whole domain, from the columnar builder."""
+    alphabet = sorted(labels) if labels is not None else graph.labels()
+    vector = compute_selectivity_vector(graph, max_length, labels=labels)
+    return dict(zip(enumerate_label_paths(alphabet, max_length), vector.tolist()))
 
 
 class TestDomainSize:
@@ -50,42 +59,43 @@ class TestEnumeration:
 
 class TestComputeSelectivities:
     def test_matches_direct_evaluation(self, triangle_graph):
-        selectivities = compute_selectivities(triangle_graph, 3)
         evaluator = MatrixPathEvaluator(triangle_graph)
-        for path, value in selectivities.items():
+        for path, value in selectivities(triangle_graph, 3).items():
             assert value == evaluator.selectivity(path), f"mismatch on {path}"
 
     def test_covers_whole_domain(self, triangle_graph):
-        selectivities = compute_selectivities(triangle_graph, 2)
-        assert len(selectivities) == domain_size(3, 2)
+        assert compute_selectivity_vector(triangle_graph, 2).shape == (domain_size(3, 2),)
 
     def test_prune_empty_drops_zero_subtrees(self, triangle_graph):
-        pruned = compute_selectivities(triangle_graph, 3, prune_empty=True)
-        assert all(value > 0 for value in pruned.values())
-        full = compute_selectivities(triangle_graph, 3)
-        nonzero_full = {p: v for p, v in full.items() if v > 0}
-        assert pruned == nonzero_full
+        # The sparse builder keeps exactly the nonzero paths of the full domain.
+        indices, counts = compute_selectivity_nonzeros(triangle_graph, 3)
+        assert bool(np.all(counts > 0))
+        full = compute_selectivity_vector(triangle_graph, 3)
+        assert indices.tolist() == np.flatnonzero(full).tolist()
+        assert counts.tolist() == full[indices].tolist()
 
     def test_zero_subtree_recorded_when_not_pruned(self, triangle_graph):
-        selectivities = compute_selectivities(triangle_graph, 3)
+        values = selectivities(triangle_graph, 3)
         # z/z is empty, and so must every extension of it be.
-        assert selectivities[LabelPath.parse("z/z")] == 0
-        assert selectivities[LabelPath.parse("z/z/x")] == 0
+        assert values[LabelPath.parse("z/z")] == 0
+        assert values[LabelPath.parse("z/z/x")] == 0
 
     def test_label_restriction(self, triangle_graph):
-        selectivities = compute_selectivities(triangle_graph, 2, labels=["x", "y"])
-        assert len(selectivities) == domain_size(2, 2)
-        assert all(set(path.labels) <= {"x", "y"} for path in selectivities)
+        values = selectivities(triangle_graph, 2, labels=["x", "y"])
+        assert len(values) == domain_size(2, 2)
+        assert all(set(path.labels) <= {"x", "y"} for path in values)
+        evaluator = MatrixPathEvaluator(triangle_graph)
+        for path, value in values.items():
+            assert value == evaluator.selectivity(path), f"mismatch on {path}"
 
     def test_progress_callback_invoked(self, small_graph):
         calls: list[int] = []
-        compute_selectivities(small_graph, 2, progress=calls.append)
-        # The callback fires every 1000 paths; the k=2 domain of 4 labels has
-        # only 20 paths, so it may legitimately never fire — use k=3 instead.
-        calls_k3: list[int] = []
-        compute_selectivities(small_graph, 3, progress=calls_k3.append)
-        assert calls == [] and calls_k3 == []  # 84 paths < 1000: never fires
+        compute_selectivity_vector(small_graph, 3, progress=calls.append)
+        # One call per label extension of the kernel; the running count is
+        # monotonic and ends at the domain size (84 paths for 4 labels, k=3).
+        assert calls == sorted(calls)
+        assert calls[-1] == domain_size(4, 3)
 
     def test_invalid_max_length(self, triangle_graph):
         with pytest.raises(PathError):
-            compute_selectivities(triangle_graph, 0)
+            compute_selectivity_vector(triangle_graph, 0)

@@ -1,6 +1,7 @@
 """Tests for incremental catalog updates (`update_selectivity_vector` /
 `SelectivityCatalog.apply_delta`): patched results must be byte-identical to
-cold rebuilds, across graph shapes, delta mixes and backends."""
+cold rebuilds and to the per-path oracle, across graph shapes and delta
+mixes."""
 
 from __future__ import annotations
 
@@ -46,49 +47,50 @@ def random_delta(
     return GraphDelta(additions=sorted(added, key=repr), removals=removed)
 
 
-def assert_incremental_matches_cold(graph, delta, max_length, **kwargs):
+def assert_incremental_matches_cold(graph, delta, max_length, oracle_vector):
     old_vector = compute_selectivity_vector(graph, max_length)
     updated = graph.copy()
     delta.apply(updated)
     alphabet = sorted(graph.labels())
     cold = compute_selectivity_vector(updated, max_length, labels=alphabet)
     patched = update_selectivity_vector(
-        updated, max_length, old_vector, delta, labels=alphabet, **kwargs
+        updated, max_length, old_vector, delta, labels=alphabet
     )
     assert patched.dtype == np.int64
     assert np.array_equal(cold, patched)
+    assert np.array_equal(oracle_vector(updated, max_length, labels=alphabet), patched)
     return updated, old_vector, cold, patched
 
 
 class TestUpdateSelectivityVector:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_mixed_delta_on_random_graph(self, seed):
+    def test_mixed_delta_on_random_graph(self, seed, oracle_vector):
         graph = zipf_labeled_graph(50, 300, 4, skew=0.8, seed=seed)
         delta = random_delta(graph, seed + 10, additions=12, removals=12)
-        assert_incremental_matches_cold(graph, delta, 3)
+        assert_incremental_matches_cold(graph, delta, 3, oracle_vector)
 
-    def test_additions_only(self):
+    def test_additions_only(self, oracle_vector):
         graph = erdos_renyi_graph(40, 160, 3, seed=5)
         delta = random_delta(graph, 6, additions=15, removals=0)
-        assert_incremental_matches_cold(graph, delta, 3)
+        assert_incremental_matches_cold(graph, delta, 3, oracle_vector)
 
-    def test_removals_only(self):
+    def test_removals_only(self, oracle_vector):
         graph = erdos_renyi_graph(40, 160, 3, seed=7)
         delta = random_delta(graph, 8, additions=0, removals=15)
-        assert_incremental_matches_cold(graph, delta, 3)
+        assert_incremental_matches_cold(graph, delta, 3, oracle_vector)
 
-    def test_new_vertices_grow_the_matrices(self):
+    def test_new_vertices_grow_the_matrices(self, oracle_vector):
         graph = zipf_labeled_graph(30, 120, 3, seed=9)
         label = graph.labels()[0]
         delta = GraphDelta(additions=[("new-u", label, "new-v")])
-        assert_incremental_matches_cold(graph, delta, 2)
+        assert_incremental_matches_cold(graph, delta, 2, oracle_vector)
 
-    def test_ring_delta_only_touches_affected_slices(self):
+    def test_ring_delta_only_touches_affected_slices(self, oracle_vector):
         graph = ring_labeled_graph(8, 25, 120, seed=4)
         edges = list(graph.edges_with_label("4"))
         delta = GraphDelta(removals=edges[:6])
         updated, old_vector, cold, patched = assert_incremental_matches_cold(
-            graph, delta, 3
+            graph, delta, 3, oracle_vector
         )
         # Unaffected subtree slices must be carried over from the old vector
         # (the analysis proves they cannot have changed).
@@ -119,13 +121,33 @@ class TestUpdateSelectivityVector:
         assert patched is not old_vector
         patched[0] = 123  # must be writable
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_backends_agree(self, backend):
-        graph = zipf_labeled_graph(40, 250, 4, skew=0.5, seed=13)
-        delta = random_delta(graph, 14, additions=10, removals=10)
-        assert_incremental_matches_cold(
-            graph, delta, 3, backend=backend, workers=2
-        )
+    def test_patch_builds_only_the_matrices_it_reaches(self, monkeypatch):
+        # On a schema-structured ring a one-label delta reaches a handful of
+        # labels; the kernel must not build the other labels' matrices.
+        graph = ring_labeled_graph(12, 20, 60, seed=4)
+        old_vector = compute_selectivity_vector(graph, 3)
+        delta = GraphDelta(removals=list(graph.edges_with_label("6"))[:3])
+        delta.apply(graph)
+        built: list[str] = []
+        edge_index_arrays = LabeledDiGraph.edge_index_arrays
+
+        def recording(self, label):
+            built.append(label)
+            return edge_index_arrays(self, label)
+
+        monkeypatch.setattr(LabeledDiGraph, "edge_index_arrays", recording)
+        patched = update_selectivity_vector(graph, 3, old_vector, delta)
+        assert 0 < len(built) < graph.label_count
+        monkeypatch.undo()
+        assert np.array_equal(patched, compute_selectivity_vector(graph, 3))
+
+    def test_affected_labels_outside_alphabet_raise(self):
+        graph = zipf_labeled_graph(20, 80, 3, seed=2)
+        old_vector = compute_selectivity_vector(graph, 2)
+        with pytest.raises(PathError, match="outside the alphabet"):
+            update_selectivity_vector(
+                graph, 2, old_vector, GraphDelta(), affected=["nope"]
+            )
 
     def test_wrong_vector_shape_raises(self):
         graph = zipf_labeled_graph(20, 80, 3, seed=2)
@@ -149,7 +171,7 @@ class TestUpdateSelectivityVector:
 
 
 class TestCatalogApplyDelta:
-    def test_apply_delta_matches_from_graph(self):
+    def test_apply_delta_matches_from_graph(self, oracle_vector):
         graph = zipf_labeled_graph(40, 200, 4, skew=0.7, seed=21)
         catalog = SelectivityCatalog.from_graph(graph, 3)
         delta = random_delta(graph, 22, additions=10, removals=10)
@@ -160,6 +182,7 @@ class TestCatalogApplyDelta:
         assert np.array_equal(
             patched.frequency_vector(), cold.frequency_vector()
         )
+        assert np.array_equal(patched.frequency_vector(), oracle_vector(updated, 3))
         assert patched.labels == catalog.labels
         assert patched is not catalog  # catalogs stay immutable
 

@@ -1,10 +1,11 @@
-"""Equality gate for the ``backend="matrix"`` catalog construction path.
+"""Equality gate for the matrix-chain kernel, the one catalog builder.
 
-The matrix-chain kernel must be byte-identical to the prefix-sharing DFS
-builders everywhere: randomized graphs across generators and alphabet
-sizes, degenerate domains (single label, labels with no edges, zero
-subtrees), the dense columnar vector, delta-patched rebuilds, and the
-catalog / backend-resolution plumbing around it.
+The kernel (stacked frontiers, flushed at a fixed entry budget) must be
+byte-identical to a plain per-node trie walk everywhere: randomized graphs
+across generators and alphabet sizes, degenerate domains (single label,
+labels with no edges, zero subtrees), the dense columnar vector,
+delta-patched rebuilds, and the catalog plumbing around it — at the default
+flush budget and at a budget of one entry, which flushes after every part.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import PathError
+import repro.paths.enumeration as enumeration
 from repro.graph.delta import GraphDelta
 from repro.graph.digraph import LabeledDiGraph
 from repro.graph.generators import (
@@ -22,16 +23,51 @@ from repro.graph.generators import (
     ring_labeled_graph,
     zipf_labeled_graph,
 )
-from repro.graph.matrices import LabelMatrixStore, block_nonzero_counts, drop_zero_rows
+from repro.graph.matrices import LabelMatrixStore, block_nonzero_counts
 from repro.paths.catalog import SelectivityCatalog
 from repro.paths.enumeration import (
-    CATALOG_BACKENDS,
     compute_selectivity_nonzeros,
     compute_selectivity_vector,
-    resolve_backend,
+    domain_size,
     update_selectivity_nonzeros,
     update_selectivity_vector,
 )
+from repro.paths.index import path_to_domain_index
+
+
+def reference_nonzeros(graph, max_length, labels=None):
+    """The reference trie walk: one boolean product per live trie node.
+
+    Depth-first over the path trie; every nonzero path is recorded at its
+    canonical domain index and extended by each label, and empty prefixes
+    end their subtree.  No stacking, no flush budget, no row compaction.
+    """
+    alphabet = sorted(labels) if labels is not None else graph.labels()
+    store = LabelMatrixStore(graph, labels=alphabet)
+    found: dict[int, int] = {}
+
+    def visit(path, matrix):
+        if matrix.nnz == 0:
+            return
+        found[path_to_domain_index("/".join(path), alphabet)] = int(matrix.nnz)
+        if len(path) < max_length:
+            for label in alphabet:
+                visit(path + (label,), store.extend(matrix, label))
+
+    for label in alphabet:
+        visit((label,), store.matrix(label))
+    indices = np.array(sorted(found), dtype=np.int64)
+    counts = np.array([found[index] for index in indices], dtype=np.int64)
+    return indices, counts
+
+
+def reference_vector(graph, max_length, labels=None):
+    """:func:`reference_nonzeros` scattered into a dense domain vector."""
+    alphabet = sorted(labels) if labels is not None else graph.labels()
+    vector = np.zeros(domain_size(len(alphabet), max_length), dtype=np.int64)
+    indices, counts = reference_nonzeros(graph, max_length, labels=alphabet)
+    vector[indices] = counts
+    return vector
 
 
 def assert_streams_identical(left, right):
@@ -40,6 +76,22 @@ def assert_streams_identical(left, right):
     assert left[1].dtype == right[1].dtype == np.int64
     assert left[0].tobytes() == right[0].tobytes()
     assert left[1].tobytes() == right[1].tobytes()
+
+
+def random_delta(graph, seed=101):
+    """Five random additions and one removal over the graph's alphabet."""
+    rng = np.random.default_rng(seed)
+    labels = sorted(graph.labels())
+    vertices = list(graph.vertices())
+    removal = next(iter(graph.edges()))
+    additions = []
+    while len(additions) < 5:
+        source = vertices[int(rng.integers(len(vertices)))]
+        target = vertices[int(rng.integers(len(vertices)))]
+        label = labels[int(rng.integers(len(labels)))]
+        if not graph.has_edge(source, label, target):
+            additions.append((source, label, target))
+    return GraphDelta(additions=additions, removals=(tuple(removal),))
 
 
 GRAPH_CASES = [
@@ -67,38 +119,37 @@ class TestMatrixNonzerosEquality:
     @pytest.mark.parametrize("make_graph, k", GRAPH_CASES)
     def test_matches_dfs_across_generators(self, make_graph, k):
         graph = make_graph()
-        dfs = compute_selectivity_nonzeros(graph, k)
-        matrix = compute_selectivity_nonzeros(graph, k, backend="matrix")
-        assert_streams_identical(dfs, matrix)
+        assert_streams_identical(
+            reference_nonzeros(graph, k), compute_selectivity_nonzeros(graph, k)
+        )
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_dfs_at_small_lengths(self, k):
         graph = erdos_renyi_graph(80, 300, 3, seed=23)
-        dfs = compute_selectivity_nonzeros(graph, k)
-        matrix = compute_selectivity_nonzeros(graph, k, backend="matrix")
-        assert_streams_identical(dfs, matrix)
+        assert_streams_identical(
+            reference_nonzeros(graph, k), compute_selectivity_nonzeros(graph, k)
+        )
 
     def test_single_label_alphabet(self):
         graph = erdos_renyi_graph(50, 120, 1, seed=31)
-        dfs = compute_selectivity_nonzeros(graph, 5)
-        matrix = compute_selectivity_nonzeros(graph, 5, backend="matrix")
-        assert_streams_identical(dfs, matrix)
+        assert_streams_identical(
+            reference_nonzeros(graph, 5), compute_selectivity_nonzeros(graph, 5)
+        )
 
     def test_alphabet_with_edgeless_labels_yields_zero_subtrees(self):
         # Labels in the alphabet but absent from the graph root empty
-        # subtrees; the kernel must skip them exactly like the DFS does.
+        # subtrees; the kernel must skip them exactly like the trie walk.
         graph = erdos_renyi_graph(60, 200, 2, seed=41)
         labels = sorted(graph.labels()) + ["zz-empty", "zz-empty-2"]
-        dfs = compute_selectivity_nonzeros(graph, 4, labels=labels)
-        matrix = compute_selectivity_nonzeros(graph, 4, labels=labels, backend="matrix")
-        assert_streams_identical(dfs, matrix)
+        assert_streams_identical(
+            reference_nonzeros(graph, 4, labels=labels),
+            compute_selectivity_nonzeros(graph, 4, labels=labels),
+        )
 
     def test_edgeless_graph_domain_is_all_zero(self):
         graph = LabeledDiGraph()
         graph.add_vertices_from(["a", "b", "c"])
-        indices, counts = compute_selectivity_nonzeros(
-            graph, 3, labels=["x", "y"], backend="matrix"
-        )
+        indices, counts = compute_selectivity_nonzeros(graph, 3, labels=["x", "y"])
         assert indices.size == 0
         assert counts.size == 0
 
@@ -108,74 +159,49 @@ class TestMatrixNonzerosEquality:
         graph = LabeledDiGraph()
         graph.add_edge("a", "e", "b")
         graph.add_edge("b", "e", "c")
-        dfs = compute_selectivity_nonzeros(graph, 6)
-        matrix = compute_selectivity_nonzeros(graph, 6, backend="matrix")
-        assert_streams_identical(dfs, matrix)
+        matrix = compute_selectivity_nonzeros(graph, 6)
+        assert_streams_identical(reference_nonzeros(graph, 6), matrix)
         assert matrix[1].tolist() == [2, 1]
 
     def test_progress_totals_match_serial(self):
+        # The per-node serial walk ticked once per path of the domain, so
+        # its total was |Lk|; the kernel's running count must end there too.
         graph = erdos_renyi_graph(80, 300, 4, seed=23)
-        matrix_ticks: list[int] = []
-        serial_ticks: list[int] = []
-        compute_selectivity_nonzeros(graph, 4, backend="matrix", progress=matrix_ticks.append)
-        compute_selectivity_nonzeros(graph, 4, progress=serial_ticks.append)
-        assert matrix_ticks[-1] == serial_ticks[-1]
+        ticks: list[int] = []
+        compute_selectivity_nonzeros(graph, 4, progress=ticks.append)
+        assert ticks == sorted(ticks)
+        assert ticks[-1] == domain_size(4, 4)
 
 
 class TestMatrixVectorEquality:
     @pytest.mark.parametrize("make_graph, k", GRAPH_CASES)
     def test_matches_columnar_vector(self, make_graph, k):
         graph = make_graph()
-        serial = compute_selectivity_vector(graph, k)
-        matrix = compute_selectivity_vector(graph, k, backend="matrix")
-        assert np.array_equal(serial, matrix)
-
-    def test_matches_other_backends(self):
-        graph = zipf_labeled_graph(200, 250, 8, skew=0.8, seed=19)
-        reference = compute_selectivity_vector(graph, 4)
-        for backend in ("thread", "matrix"):
-            vector = compute_selectivity_vector(graph, 4, backend=backend, workers=4)
-            assert np.array_equal(reference, vector), backend
+        assert np.array_equal(
+            reference_vector(graph, k), compute_selectivity_vector(graph, k)
+        )
 
 
 class TestMatrixDeltaRebuilds:
-    def _delta_for(self, graph, seed=101):
-        rng = np.random.default_rng(seed)
-        labels = sorted(graph.labels())
-        vertices = list(graph.vertices())
-        removal = next(iter(graph.edges()))
-        additions = []
-        while len(additions) < 5:
-            source = vertices[int(rng.integers(len(vertices)))]
-            target = vertices[int(rng.integers(len(vertices)))]
-            label = labels[int(rng.integers(len(labels)))]
-            if not graph.has_edge(source, label, target):
-                additions.append((source, label, target))
-        return GraphDelta(additions=additions, removals=(tuple(removal),))
-
     def test_patched_nonzeros_match_cold_dfs_rebuild(self):
         graph = zipf_labeled_graph(150, 200, 10, skew=0.8, seed=37)
         labels = sorted(graph.labels())
         old = compute_selectivity_nonzeros(graph, 4, labels=labels)
-        delta = self._delta_for(graph)
+        delta = random_delta(graph)
         delta.apply(graph)
         patched = update_selectivity_nonzeros(
-            graph, 4, old[0], old[1], delta, labels=labels, backend="matrix"
+            graph, 4, old[0], old[1], delta, labels=labels
         )
-        cold = compute_selectivity_nonzeros(graph, 4, labels=labels)
-        assert_streams_identical(patched, cold)
+        assert_streams_identical(patched, reference_nonzeros(graph, 4, labels=labels))
 
     def test_patched_vector_matches_cold_rebuild(self):
         graph = erdos_renyi_graph(100, 500, 5, seed=43)
         labels = sorted(graph.labels())
         old = compute_selectivity_vector(graph, 4, labels=labels)
-        delta = self._delta_for(graph, seed=7)
+        delta = random_delta(graph, seed=7)
         delta.apply(graph)
-        patched = update_selectivity_vector(
-            graph, 4, old, delta, labels=labels, backend="matrix"
-        )
-        cold = compute_selectivity_vector(graph, 4, labels=labels)
-        assert np.array_equal(patched, cold)
+        patched = update_selectivity_vector(graph, 4, old, delta, labels=labels)
+        assert np.array_equal(patched, reference_vector(graph, 4, labels=labels))
 
     def test_stale_entries_inside_affected_subtree_are_cleared(self):
         # A removal that zeroes previously nonzero paths exercises the
@@ -187,66 +213,77 @@ class TestMatrixDeltaRebuilds:
         old = compute_selectivity_vector(graph, 3, labels=labels)
         delta = GraphDelta(removals=(("b", "y", "c"),))
         delta.apply(graph)
-        patched = update_selectivity_vector(
-            graph, 3, old, delta, labels=labels, backend="matrix"
-        )
-        cold = compute_selectivity_vector(graph, 3, labels=labels)
-        assert np.array_equal(patched, cold)
+        patched = update_selectivity_vector(graph, 3, old, delta, labels=labels)
+        assert np.array_equal(patched, reference_vector(graph, 3, labels=labels))
 
 
 class TestCatalogAndPlumbing:
     def test_catalog_from_graph_sparse_storage(self):
         graph = zipf_labeled_graph(200, 200, 8, skew=0.8, seed=53)
-        dfs = SelectivityCatalog.from_graph(graph, 4, storage="sparse")
-        matrix = SelectivityCatalog.from_graph(
-            graph, 4, storage="sparse", backend="matrix"
-        )
-        assert_streams_identical(dfs.nonzero_arrays(), matrix.nonzero_arrays())
+        catalog = SelectivityCatalog.from_graph(graph, 4, storage="sparse")
+        assert_streams_identical(reference_nonzeros(graph, 4), catalog.nonzero_arrays())
 
     def test_catalog_from_graph_dense_storage(self):
         graph = erdos_renyi_graph(80, 400, 4, seed=59)
-        dfs = SelectivityCatalog.from_graph(graph, 3, storage="dense")
-        matrix = SelectivityCatalog.from_graph(
-            graph, 3, storage="dense", backend="matrix"
+        catalog = SelectivityCatalog.from_graph(graph, 3, storage="dense")
+        assert np.array_equal(reference_vector(graph, 3), catalog.frequency_vector())
+
+
+class TestFlushBudget:
+    """A one-entry budget flushes after every part, so every flush path runs."""
+
+    @pytest.fixture(autouse=True)
+    def one_entry_budget(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_FLUSH_ENTRIES", 1)
+
+    @pytest.mark.parametrize("make_graph, k", GRAPH_CASES)
+    def test_nonzeros_and_progress(self, make_graph, k):
+        graph = make_graph()
+        ticks: list[int] = []
+        nonzeros = compute_selectivity_nonzeros(graph, k, progress=ticks.append)
+        assert_streams_identical(reference_nonzeros(graph, k), nonzeros)
+        assert ticks == sorted(ticks)
+        assert ticks[-1] == domain_size(graph.label_count, k)
+
+    @pytest.mark.parametrize("make_graph, k", GRAPH_CASES)
+    def test_vector(self, make_graph, k):
+        graph = make_graph()
+        assert np.array_equal(
+            reference_vector(graph, k), compute_selectivity_vector(graph, k)
         )
-        assert np.array_equal(dfs.frequency_vector(), matrix.frequency_vector())
 
-    def test_matrix_is_a_registered_backend(self):
-        assert "matrix" in CATALOG_BACKENDS
+    def test_degenerate_domains(self):
+        single = erdos_renyi_graph(50, 120, 1, seed=31)
+        assert_streams_identical(
+            reference_nonzeros(single, 5), compute_selectivity_nonzeros(single, 5)
+        )
+        edgeless_labels = erdos_renyi_graph(60, 200, 2, seed=41)
+        labels = sorted(edgeless_labels.labels()) + ["zz-empty"]
+        assert_streams_identical(
+            reference_nonzeros(edgeless_labels, 4, labels=labels),
+            compute_selectivity_nonzeros(edgeless_labels, 4, labels=labels),
+        )
+        chain = LabeledDiGraph()
+        chain.add_edge("a", "e", "b")
+        chain.add_edge("b", "e", "c")
+        assert_streams_identical(
+            reference_nonzeros(chain, 6), compute_selectivity_nonzeros(chain, 6)
+        )
 
-    def test_resolve_backend_matrix_is_single_worker(self):
-        assert resolve_backend("matrix") == ("matrix", 1)
-        # Unlike thread/process, a worker count of one must not degrade the
-        # matrix backend to serial, and larger counts are ignored.
-        assert resolve_backend("matrix", 1, 20) == ("matrix", 1)
-        assert resolve_backend("matrix", 8, 20) == ("matrix", 1)
-
-    def test_resolve_backend_rejects_bad_workers(self):
-        with pytest.raises(PathError):
-            resolve_backend("matrix", 0)
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_patched_catalog_equals_cold_build(self, storage):
+        graph = zipf_labeled_graph(150, 200, 10, skew=0.8, seed=37)
+        catalog = SelectivityCatalog.from_graph(graph, 4, storage=storage)
+        delta = random_delta(graph, seed=3)
+        delta.apply(graph)
+        patched = catalog.apply_delta(graph, delta)
+        cold = SelectivityCatalog.from_graph(graph, 4, storage=storage)
+        assert patched.storage == cold.storage == storage
+        assert_streams_identical(patched.nonzero_arrays(), cold.nonzero_arrays())
+        assert_streams_identical(patched.nonzero_arrays(), reference_nonzeros(graph, 4))
 
 
 class TestStackedFrontierHelpers:
-    def test_drop_zero_rows_keeps_nonzero_rows_in_order(self):
-        from scipy import sparse
-
-        matrix = sparse.csr_matrix(
-            np.array(
-                [[0, 0, 0], [1, 0, 1], [0, 0, 0], [0, 1, 0]], dtype=bool
-            )
-        )
-        compressed = drop_zero_rows(matrix)
-        assert compressed.shape == (2, 3)
-        assert np.array_equal(
-            compressed.toarray(), np.array([[1, 0, 1], [0, 1, 0]], dtype=bool)
-        )
-
-    def test_drop_zero_rows_is_identity_without_zero_rows(self):
-        from scipy import sparse
-
-        matrix = sparse.csr_matrix(np.eye(3, dtype=bool))
-        assert drop_zero_rows(matrix) is matrix
-
     def test_block_nonzero_counts(self):
         from scipy import sparse
 

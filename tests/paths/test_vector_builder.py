@@ -5,13 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import PathError
 from repro.graph.digraph import LabeledDiGraph
 from repro.graph.generators import zipf_labeled_graph
 from repro.graph.matrices import LabelMatrixStore
 from repro.paths.catalog import SelectivityCatalog
 from repro.paths.enumeration import (
-    compute_selectivities,
     compute_selectivity_vector,
     domain_size,
     enumerate_label_paths,
@@ -19,8 +17,12 @@ from repro.paths.enumeration import (
 
 
 def reference_vector(graph: LabeledDiGraph, max_length: int) -> np.ndarray:
-    """The dict builder's output, re-laid-out in canonical domain order."""
-    selectivities = compute_selectivities(graph, max_length)
+    """A per-path ``LabelPath -> f`` dict, re-laid-out in canonical domain order."""
+    store = LabelMatrixStore(graph)
+    selectivities = {
+        path: store.path_selectivity(path.labels)
+        for path in enumerate_label_paths(graph.labels(), max_length)
+    }
     return np.array(
         [
             selectivities[path]
@@ -40,38 +42,6 @@ class TestVectorMatchesDictBuilder:
         assert vector.dtype == np.int64
         assert vector.shape == (domain_size(4, 3),)
         assert np.array_equal(vector, reference_vector(small_graph, 3))
-
-
-class TestBackendEquality:
-    @pytest.fixture(scope="class")
-    def graph(self) -> LabeledDiGraph:
-        return zipf_labeled_graph(60, 280, 6, skew=1.0, seed=11, name="backends")
-
-    def test_serial_thread_process_identical(self, graph):
-        serial = compute_selectivity_vector(graph, 3, backend="serial")
-        thread = compute_selectivity_vector(graph, 3, backend="thread", workers=4)
-        process = compute_selectivity_vector(graph, 3, backend="process", workers=2)
-        assert np.array_equal(serial, thread)
-        assert np.array_equal(serial, process)
-
-    def test_catalog_backends_identical(self, graph):
-        serial = SelectivityCatalog.from_graph(graph, 2)
-        thread = SelectivityCatalog.from_graph(graph, 2, workers=3, backend="thread")
-        process = SelectivityCatalog.from_graph(graph, 2, workers=2, backend="process")
-        assert np.array_equal(serial.frequency_vector(), thread.frequency_vector())
-        assert np.array_equal(serial.frequency_vector(), process.frequency_vector())
-
-    def test_workers_one_degrades_to_serial(self, graph):
-        one = compute_selectivity_vector(graph, 2, backend="process", workers=1)
-        assert np.array_equal(one, compute_selectivity_vector(graph, 2))
-
-    def test_unknown_backend_rejected(self, graph):
-        with pytest.raises(PathError):
-            compute_selectivity_vector(graph, 2, backend="fork-bomb")
-
-    def test_bad_worker_count_rejected(self, graph):
-        with pytest.raises(PathError):
-            compute_selectivity_vector(graph, 2, workers=0)
 
 
 class TestZeroSubtreeSliceFill:
@@ -99,30 +69,16 @@ class TestZeroSubtreeSliceFill:
         assert seen, "progress never fired on a zero-dominated domain"
         assert max(seen) == domain_size(2, 6)
 
-    def test_dict_builder_progress_covers_zero_subtrees(self, chain_graph):
-        # Satellite regression: the dict builder's progress used to stall
-        # while zero subtrees were recorded.
-        seen: list[int] = []
-        compute_selectivities(chain_graph, 10, progress=seen.append)
-        total = domain_size(2, 10)
-        assert seen, "progress never fired while recording zero subtrees"
-        assert max(seen) > total // 2
 
-
-class TestProgressParity:
-    def test_thread_progress_reports_combined_total(self):
+class TestProgress:
+    def test_progress_is_monotonic_and_ends_at_domain_size(self):
         graph = zipf_labeled_graph(30, 150, 10, skew=1.0, seed=5, name="progress")
         seen: list[int] = []
-        compute_selectivity_vector(
-            graph, 4, backend="thread", workers=4, progress=seen.append
-        )
-        total = domain_size(graph.label_count, 4)
-        assert seen and max(seen) == total
+        compute_selectivity_vector(graph, 4, progress=seen.append)
+        assert seen == sorted(seen)
+        assert seen[-1] == domain_size(graph.label_count, 4)
 
-    def test_process_progress_ticks_per_subtree(self):
-        graph = zipf_labeled_graph(30, 150, 4, skew=1.0, seed=5, name="progress-p")
+    def test_catalog_forwards_progress(self, small_graph):
         seen: list[int] = []
-        compute_selectivity_vector(
-            graph, 3, backend="process", workers=2, progress=seen.append
-        )
-        assert seen and max(seen) == domain_size(4, 3)
+        SelectivityCatalog.from_graph(small_graph, 3, progress=seen.append)
+        assert seen[-1] == domain_size(small_graph.label_count, 3)

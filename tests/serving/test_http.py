@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -101,6 +104,29 @@ class TestRoundTrip:
         expected = session.estimate_batch(paths)
         got = [results[position] for position in range(len(paths))]
         assert np.allclose(got, expected)
+
+
+class TestKeepAlive:
+    def test_sequential_requests_skip_delayed_ack(self, server):
+        # Each response must leave in one write with TCP_NODELAY; headers and
+        # body in two sends make every keep-alive request wait out the
+        # client's ~40 ms delayed ACK.
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        body = json.dumps({"graph": "g", "paths": ["1/2"]}).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        seconds = []
+        try:
+            for attempt in range(21):
+                started = time.perf_counter()
+                connection.request("POST", "/v1/estimate", body=body, headers=headers)
+                response = connection.getresponse()
+                assert json.loads(response.read())["count"] == 1
+                if attempt:  # the first request builds the session
+                    seconds.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.020
 
 
 class TestUpdateRoute:

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -259,30 +264,33 @@ class TestSharedEngineFlagBlock:
             assert args.buckets == 64
             assert args.histogram == "v-optimal"
             assert args.storage == "auto"
-            assert args.build_workers is None
 
     def test_catalog_carries_construction_flags_only(self):
         args = build_parser().parse_args(
             [
                 "catalog", "g.tsv", "-o", "c.npz",
-                "-k", "4", "--storage", "sparse", "--workers", "2",
+                "-k", "4", "--storage", "sparse",
             ]
         )
         assert args.max_length == 4
         assert args.storage == "sparse"
-        assert args.build_workers == 2
         assert not hasattr(args, "ordering")
         assert not hasattr(args, "buckets")
 
-    def test_serve_separates_process_and_build_workers(self):
-        args = build_parser().parse_args(
-            [
-                "serve", "--graph", "g=g.tsv",
-                "--workers", "4", "--build-workers", "2",
-            ]
-        )
-        assert args.workers == 4
-        assert args.build_workers == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "g.tsv", "-o", "c.npz", "--workers", "2"],
+            ["catalog", "g.tsv", "-o", "c.npz", "--backend", "matrix"],
+            ["engine", "build", "g.tsv", "--workers", "2"],
+            ["serve", "--graph", "g=g.tsv", "--build-workers", "2"],
+            ["serve", "--graph", "g=g.tsv", "--backend", "serial"],
+        ],
+    )
+    def test_catalog_builder_takes_no_backend_or_worker_flags(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_rejects_zero_workers(self, capsys):
         assert main(["serve", "--graph", "g=missing.tsv", "--workers", "0"]) == 2
@@ -551,3 +559,23 @@ class TestRemoteCacheCommands:
             == 1
         )
         assert "--cache-dir" in capsys.readouterr().err
+
+
+class TestImportCost:
+    def test_cli_import_leaves_networkx_unloaded(self):
+        # networkx backs only the Barabasi-Albert generator; every repro
+        # process importing it at start-up paid for it on each launch.
+        env = dict(os.environ)
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (source_root, env.get("PYTHONPATH")) if part
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.cli; print('networkx' in sys.modules)"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
