@@ -38,6 +38,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from typing import Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -390,6 +391,28 @@ def run_load_bench(quick: bool = False, *, port: int = 18993) -> dict:
         "errors_total": single["errors"] + multi["errors"],
         "requests_total": single["requests"] + multi["requests"],
     }
+
+
+def unenforced_reason(load: dict, flag: str) -> Optional[str]:
+    """Why the floors behind ``flag`` were recorded but not enforced, or None.
+
+    ``flag`` is ``"speedup_floor_enforced"`` (the throughput and p99 floors)
+    or ``"rss_floor_enforced"`` (the per-worker memory floor); the reason
+    is rebuilt from the fields the section records.
+    """
+    if load.get(flag, True):
+        return None
+    if flag == "speedup_floor_enforced":
+        return (
+            f"{load.get('cpu_count')} cores, {load.get('workers')} workers; "
+            f"enforced from {SPEEDUP_MIN_CORES} cores"
+        )
+    if load.get("extra_worker_rss_fraction") is None:
+        return "per-worker PSS not measured"
+    return (
+        f"private catalog {load.get('catalog_private_bytes', 0) / 2**20:.0f} MiB; "
+        f"enforced from {RSS_MIN_PRIVATE_BYTES / 2**20:.0f} MiB"
+    )
 
 
 def collect_failures(load: dict) -> list[str]:

@@ -5,7 +5,8 @@ The CI ``bench-regression`` job reruns ``run_all.py --quick`` and then calls
 this script with the *committed* document as the baseline and the fresh one
 as the current run.  Two things are checked:
 
-* every floor **recorded in the baseline** (batch ≥ 10×, npz ≤ 25%,
+* every floor **recorded in the baseline** (batch ≥ 10×, sparse batch
+  ≥ 3× the per-path loop, npz ≤ 25%,
   dense cold-build peak ≤ 16 MiB traced, coalesced ≥ 5×, delta ≥ 5×,
   sparse build ≥ 2×, sparse artifact ≤ 5%, sparse serve RSS
   < 1 GiB, chaos availability ≥ 99%, open-circuit fast-fail < 10 ms,
@@ -23,7 +24,10 @@ Raw wall-clock numbers are *not* compared across documents — the baseline
 was measured on a different machine, so only the recorded floors and the
 current run's own ratios are meaningful.  A drift table is printed for
 humans; it also lists the floors retired in ``run_all.RETIRED_FLOORS``
-(a baseline that still records them is not gated on them).  Exit code 1
+(a baseline that still records them is not gated on them), and prints a
+floor the current run recorded as not enforced on its host (the ``load``
+floors below 4 cores) as ``UNMEASURED (<reason>)`` rather than as a
+number beside its floor.  Exit code 1
 on any violated floor, with one readable line per failure printed first.
 
 Usage::
@@ -44,12 +48,17 @@ BENCH_DIR = Path(__file__).resolve().parent
 if str(BENCH_DIR) not in sys.path:
     sys.path.insert(0, str(BENCH_DIR))
 
-from run_all import RETIRED_FLOORS, collect_floor_failures  # noqa: E402
+from run_all import (  # noqa: E402
+    RETIRED_FLOORS,
+    collect_floor_failures,
+    unmeasured_reason,
+)
 
 #: (section, metric, floor_key, direction) — the recorded floors carried by
 #: both documents.  ``direction`` is ">=" (floor) or "<=" (ceiling).
 FLOORS: tuple[tuple[str, str, str, str], ...] = (
     ("engine", "batch_speedup", "batch_speedup_floor", ">="),
+    ("engine", "sparse_batch_speedup", "sparse_batch_speedup_floor", ">="),
     ("catalog", "artifact_npz_ratio", "artifact_npz_ratio_ceiling", "<="),
     ("catalog", "build_peak_mib", "build_peak_mib_ceiling", "<="),
     ("serving", "coalesced_speedup", "coalesced_speedup_floor", ">="),
@@ -102,6 +111,10 @@ def merge_baseline_floors(baseline: dict, current: dict) -> dict:
     return merged
 
 
+def _fmt(value: object) -> str:
+    return f"{value:.2f}" if isinstance(value, (int, float)) else str(value)
+
+
 def drift_table(baseline: dict, current: dict) -> list[str]:
     """Human-readable baseline-vs-current rows (informational only)."""
     rows = []
@@ -111,17 +124,21 @@ def drift_table(baseline: dict, current: dict) -> list[str]:
         floor = (baseline.get(section) or {}).get(
             floor_key, (current.get(section) or {}).get(floor_key)
         )
+        reason = unmeasured_reason(current, section, metric)
+        if reason is not None:
+            # Recorded but not enforced on this host: its number is no pass.
+            rows.append(
+                f"{section}.{metric}: UNMEASURED ({reason}) "
+                f"({direction} {_fmt(floor)})"
+            )
+            continue
         if new_value is None:
             # A floor the baseline predates, or one measured as null here.
             rows.append(f"{section}.{metric}: not measured")
             continue
-
-        def fmt(value: object) -> str:
-            return f"{value:.2f}" if isinstance(value, (int, float)) else str(value)
-
         rows.append(
-            f"{section}.{metric}: {fmt(new_value)} "
-            f"(baseline {fmt(base_value)}, {direction} {fmt(floor)})"
+            f"{section}.{metric}: {_fmt(new_value)} "
+            f"(baseline {_fmt(base_value)}, {direction} {_fmt(floor)})"
         )
     for name, reason in RETIRED_FLOORS.items():
         rows.append(f"{name}: retired ({reason})")
@@ -147,6 +164,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for name, document in (("baseline", baseline), ("current", current)):
         for section, floor_name in (
+            ("ordering", "sparse-batch"),
             ("delta", "delta"),
             ("sparse", "sparse-catalog"),
             ("chaos", "chaos-smoke"),

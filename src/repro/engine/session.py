@@ -6,9 +6,11 @@ selectivity catalog → ordering → histogram — persists the expensive
 artifacts to an :class:`~repro.engine.cache.ArtifactCache` keyed by the graph
 digest and the engine configuration, and then answers selectivity estimates
 in bulk: :meth:`EstimationSession.estimate_batch` maps thousands of paths to
-domain positions through a precomputed table and resolves them against the
-histogram with one vectorised lookup, avoiding the per-path Python overhead
-of calling ``estimate`` in a loop.
+domain positions — through a precomputed path → position table in a dense
+session, through the orderings' one vectorised ranking kernel
+(:meth:`~repro.ordering.base.Ordering.index_array`) in a sparse one — and
+resolves them against the histogram with one vectorised lookup, avoiding
+the per-path Python overhead of calling ``estimate`` in a loop.
 
 A warm start (same graph, same config, same cache directory) loads every
 artifact from disk and skips catalog construction entirely — the dominant
@@ -685,12 +687,16 @@ class EstimationSession:
     def estimate_batch(self, paths: Sequence[PathLike]) -> np.ndarray:
         """Vectorised estimates for a batch of paths, in input order.
 
-        Dense sessions resolve paths through the precomputed table (one
-        dict lookup each — no parsing, validation or ranking arithmetic on
-        the hot path); sparse sessions rank the whole batch through the
-        ordering's vectorised closed form.  Either way the histogram
-        answers all of them with a single vectorised bucket lookup, and the
-        result agrees element-wise with a per-path :meth:`estimate` loop.
+        Dense sessions resolve paths through their precomputed position
+        table (one dict lookup each — no parsing, validation or ranking
+        arithmetic on the hot path; for the handful of paths a serving
+        request carries, cheaper than any vectorised ranking).  Sparse
+        sessions have no table: they rank the whole batch on demand with
+        :meth:`~repro.ordering.base.Ordering.index_array`, which parses
+        the strings straight to canonical domain indices and ranks every
+        length in one vectorised pass.  Either way the histogram answers
+        all of them with a single vectorised bucket lookup, and the result
+        agrees element-wise with a per-path :meth:`estimate` loop.
         """
         if len(paths) == 0:
             return np.empty(0, dtype=float)

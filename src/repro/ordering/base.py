@@ -19,9 +19,9 @@ import numpy as np
 
 from repro.exceptions import IndexOutOfDomainError, OrderingError, UnknownLabelError
 from repro.ordering.ranking import RankingRule
-from repro.paths.enumeration import domain_size, enumerate_label_paths
+from repro.paths.enumeration import domain_size
 from repro.paths.index import (
-    canonical_digit_blocks,
+    canonical_digit_matrix,
     domain_indices_to_paths,
     paths_to_domain_indices,
 )
@@ -30,6 +30,10 @@ from repro.paths.label_path import LabelPath, as_label_path
 __all__ = ["Ordering"]
 
 PathLike = Union[str, LabelPath]
+
+#: Indices ranked per kernel pass: bounds the ``(n, k)`` temporaries of a
+#: whole-domain ranking without costing a request-sized batch a second pass.
+_RANK_CHUNK = 1 << 16
 
 
 class Ordering:
@@ -53,6 +57,13 @@ class Ordering:
         self._ranking = ranking
         self._max_length = max_length
         self._size = domain_size(ranking.size, max_length)
+        self._canonical_labels = tuple(sorted(ranking.labels))
+        # Bijective canonical digit (sorted-alphabet position plus one, 0 for
+        # padding) -> ranking-rule rank (0 for padding).
+        self._rank_of_digit = np.array(
+            [0] + [ranking.rank(label) for label in self._canonical_labels],
+            dtype=np.int64,
+        )
 
     # ------------------------------------------------------------------
     # metadata
@@ -141,106 +152,75 @@ class Ordering:
         numerical-alphabetical enumeration order (the order of
         :func:`~repro.paths.enumeration.enumerate_label_paths` over the sorted
         alphabet) — exactly the position table the estimation engine caches.
-        The base implementation loops over :meth:`index`; the closed-form
-        orderings override :meth:`_rank_block` so the whole table is computed
-        with per-length vectorised arithmetic instead of a per-path Python
-        loop.  Both routes agree element-wise by construction (and by test).
+        Orderings with a closed form parse the batch straight to canonical
+        domain indices (:func:`~repro.paths.index.paths_to_domain_indices`,
+        no ``LabelPath`` built) and rank them with
+        :meth:`rank_domain_indices`; the others loop over :meth:`index`.
+        Both routes agree element-wise by construction (and by test).
         """
-        blocks = self._canonical_rank_blocks(paths)
-        if blocks is None:
-            if paths is None:
-                iterator: Iterator[PathLike] = enumerate_label_paths(
-                    sorted(self.labels), self._max_length
-                )
-                count = self._size
-            else:
-                iterator = iter(paths)
-                count = len(paths)
+        if paths is None:
+            return self.rank_domain_indices(np.arange(self._size, dtype=np.int64))
+        if not self._has_closed_form():
             return np.fromiter(
-                (self.index(path) for path in iterator), dtype=np.int64, count=count
+                (self.index(path) for path in paths), dtype=np.int64, count=len(paths)
             )
-        if paths is None:
-            out = np.empty(self._size, dtype=np.int64)
-        else:
-            out = np.empty(len(paths), dtype=np.int64)
-        for length, positions, ranks in blocks:
-            out[positions] = self._rank_block(length, ranks)
-        return out
-
-    def _rank_block(self, length: int, ranks: np.ndarray) -> np.ndarray:
-        """Vectorised ranking of one length group (``ranks`` is 1-based).
-
-        ``ranks`` has shape ``(n, length)``; row ``i`` holds the ranking-rule
-        ranks of one path's labels.  Orderings with a closed-form index rule
-        override this; the base class signals "no vectorised form" by raising,
-        which makes :meth:`index_array` fall back to the scalar loop.
-        """
-        raise NotImplementedError
-
-    def _canonical_rank_blocks(
-        self, paths: Optional[Sequence[PathLike]]
-    ) -> Optional[list[tuple[int, np.ndarray, np.ndarray]]]:
-        """Per-length ``(length, positions, 1-based rank matrix)`` groups.
-
-        Returns ``None`` when the ordering has no vectorised
-        :meth:`_rank_block`, so :meth:`index_array` can fall back.  Input paths
-        are validated through the same canonical-domain arithmetic the scalar
-        path uses (unknown labels and over-length paths raise).
-        """
-        if type(self)._rank_block is Ordering._rank_block:
-            return None
-        sorted_labels = sorted(self.labels)
-        # digit (position in the sorted alphabet) -> ranking-rule rank.
-        rank_of_digit = np.array(
-            [self._ranking.rank(label) for label in sorted_labels], dtype=np.int64
+        return self.rank_domain_indices(
+            paths_to_domain_indices(
+                paths, self._canonical_labels, max_length=self._max_length
+            )
         )
-        indices: Optional[np.ndarray]
-        if paths is None:
-            indices = None
-        else:
-            indices = paths_to_domain_indices(
-                paths, sorted_labels, max_length=self._max_length
-            )
-        return [
-            (length, positions, rank_of_digit[digits])
-            for length, positions, digits in canonical_digit_blocks(
-                self._ranking.size, self._max_length, indices
-            )
-        ]
 
     def rank_domain_indices(self, indices) -> np.ndarray:
         """Ordering indices for a batch of *canonical* domain indices.
 
         Equivalent to ranking the paths those indices denote
-        (``index_array(domain_indices_to_paths(indices, ...))``) without
-        materialising any :class:`LabelPath` objects when the ordering has a
-        closed-form :meth:`_rank_block`: the canonical indices decompose
-        straight into digit matrices.  This is the translation the
-        sparse-catalog pipeline uses to lay nonzero selectivities out in
-        ordering order.
+        (``index_array(domain_indices_to_paths(indices, ...))``).  This is the
+        one vectorised ranking kernel: the batch is decomposed once into a
+        left-padded rank matrix (:func:`~repro.paths.index.canonical_digit_matrix`
+        mapped through the ranking rule) and the ordering's closed form
+        (:meth:`_rank_matrix`) ranks every length in the same pass.  The
+        batch is processed in chunks of ``_RANK_CHUNK`` indices, which bounds
+        the kernel's temporaries when a whole domain is ranked.  Orderings
+        without a closed form fall back to :meth:`index` per path.
         """
         index_array = np.ascontiguousarray(np.asarray(indices, dtype=np.int64))
         if index_array.ndim != 1:
             raise OrderingError("domain indices must be one-dimensional")
-        sorted_labels = sorted(self.labels)
-        if type(self)._rank_block is Ordering._rank_block:
+        if not self._has_closed_form():
             paths = domain_indices_to_paths(
-                index_array, sorted_labels, self._max_length
+                index_array, self._canonical_labels, self._max_length
             )
             return np.fromiter(
                 (self.index(path) for path in paths),
                 dtype=np.int64,
                 count=len(paths),
             )
-        rank_of_digit = np.array(
-            [self._ranking.rank(label) for label in sorted_labels], dtype=np.int64
-        )
         out = np.empty(index_array.size, dtype=np.int64)
-        for length, positions, digits in canonical_digit_blocks(
-            self._ranking.size, self._max_length, index_array
-        ):
-            out[positions] = self._rank_block(length, rank_of_digit[digits])
+        for start in range(0, index_array.size, _RANK_CHUNK):
+            chunk = index_array[start : start + _RANK_CHUNK]
+            lengths, digits = canonical_digit_matrix(
+                self._ranking.size, self._max_length, chunk
+            )
+            out[start : start + chunk.size] = self._rank_matrix(
+                lengths, self._rank_of_digit[digits]
+            )
         return out
+
+    def _rank_matrix(self, lengths: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """Closed-form ranking of a left-padded rank matrix.
+
+        ``ranks`` has shape ``(n, max_length)``: row ``i`` holds the
+        ranking-rule ranks (``1..|L|``) of one path's labels, right-aligned
+        behind ``max_length - lengths[i]`` zero pads.  Orderings with a
+        closed-form index rule override this; the base class has none, which
+        sends :meth:`index_array` and :meth:`rank_domain_indices` to the
+        scalar loop.
+        """
+        raise NotImplementedError
+
+    def _has_closed_form(self) -> bool:
+        """Whether the ordering overrides :meth:`_rank_matrix`."""
+        return type(self)._rank_matrix is not Ordering._rank_matrix
 
     # ------------------------------------------------------------------
     # vectorised unranking

@@ -19,7 +19,7 @@ closed form below.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,17 +61,32 @@ class LexicographicalOrdering(Ordering):
                 index += 1
         return index
 
-    def _rank_block(self, length: int, ranks: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _linear_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-length ``(offsets, weights)`` of the closed form over padded ranks.
+
+        A path of length ``m`` has its position ``p`` (1-based) in padded
+        column ``k - m + p - 1``; ``weights[m]`` puts the sibling-subtree
+        size ``S(k - p)`` there, and ``offsets[m]`` folds in the ``-1`` per
+        rank and the ``m - 1`` node steps of the pre-order walk.
+        """
         k = self._max_length
-        # Same pre-order walk as ``index``, with the per-position sibling
-        # subtrees summed as one matrix product: position p contributes
-        # (rank - 1) subtrees of depth k - p, plus the node step (+1) at every
-        # non-final position.
-        subtree_sizes = np.array(
-            [self._subtree_size(k - position) for position in range(1, length + 1)],
-            dtype=np.int64,
-        )
-        return (ranks - 1) @ subtree_sizes + (length - 1)
+        weights = np.zeros((k + 1, k), dtype=np.int64)
+        offsets = np.zeros(k + 1, dtype=np.int64)
+        for length in range(1, k + 1):
+            for position in range(1, length + 1):
+                weights[length, k - length + position - 1] = self._subtree_size(
+                    k - position
+                )
+            offsets[length] = (length - 1) - weights[length].sum()
+        return offsets, weights
+
+    def _rank_matrix(self, lengths: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        # Same pre-order walk as ``index``: position p contributes (rank - 1)
+        # subtrees of depth k - p, plus the node step (+1) at every
+        # non-final position — a per-length linear form in the ranks.
+        offsets, weights = self._linear_form
+        return offsets[lengths] + np.einsum("ij,ij->i", ranks, weights[lengths])
 
     def path(self, index: int) -> LabelPath:
         """Invert :meth:`index`: the path at pre-order position ``index``."""

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.ordering.base import Ordering, PathLike
-from repro.paths.index import canonical_digit_blocks
+from repro.paths.index import canonical_digit_matrix, digit_matrix_to_paths
 from repro.paths.label_path import LabelPath
 
 __all__ = ["NumericalOrdering"]
@@ -42,11 +42,13 @@ class NumericalOrdering(Ordering):
             value = value * base + (self._ranking.rank(label) - 1)
         return offset + value
 
-    def _rank_block(self, length: int, ranks: np.ndarray) -> np.ndarray:
+    def _rank_matrix(self, lengths: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        # The left-padded 1-based ranks spell the path's bijective base-|L|
+        # numeral, whose value is the length-block offset plus the base-|L|
+        # value of the 0-based digits, plus one — the scalar ``index``.
         base = self._ranking.size
-        offset = sum(base**i for i in range(1, length))
-        powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
-        return offset + (ranks - 1) @ powers
+        powers = base ** np.arange(self._max_length - 1, -1, -1, dtype=np.int64)
+        return ranks @ powers - 1
 
     def path(self, index: int) -> LabelPath:
         """Invert :meth:`index`: decode the base-``|L|`` digits back to labels."""
@@ -69,14 +71,9 @@ class NumericalOrdering(Ordering):
         """Vectorised :meth:`path` over many indices (default: whole domain)."""
         index_array = self._validate_index_array(indices)
         # A numerical ordering index is the canonical domain index over the
-        # *rank* order, so one digit-block decomposition unranks everything;
-        # digit ``d`` maps to the label with rank ``d + 1``.
-        label_array = np.asarray(self._ranking.labels, dtype=object)
-        out: list[Optional[LabelPath]] = [None] * index_array.size
-        for _, positions, digits in canonical_digit_blocks(
+        # *rank* order, so one digit-matrix decomposition unranks everything;
+        # bijective digit ``d`` is the label with rank ``d``.
+        lengths, digits = canonical_digit_matrix(
             self._ranking.size, self._max_length, index_array
-        ):
-            rows = label_array[digits]
-            for position, row in zip(positions.tolist(), rows):
-                out[position] = LabelPath._from_validated(tuple(row))
-        return out  # type: ignore[return-value]
+        )
+        return digit_matrix_to_paths(lengths, digits, self._ranking.labels)

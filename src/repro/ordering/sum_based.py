@@ -25,6 +25,7 @@ Algorithm 2 (unranking), :meth:`SumBasedOrdering.index` its inverse.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 from typing import Optional, Sequence
 
@@ -50,9 +51,11 @@ class SumBasedOrdering(Ordering):
 
     The stage-one/two/three offsets depend only on ``(|L|, k)``, so they are
     memoised lazily per (length) and per (length, summed rank); after warm-up
-    a ranking call reduces to three dictionary lookups plus the multiset
-    permutation rank, which keeps the estimation overhead close to the ~20 %
-    the paper reports for its Java implementation.
+    a scalar ranking call reduces to three dictionary lookups plus the
+    multiset permutation rank, which keeps the estimation overhead close to
+    the ~20 % the paper reports for its Java implementation.  Batches go
+    through :func:`multiset_offset_table` instead: one ``searchsorted``
+    covers the first three stages for every path of every length.
     """
 
     name = "sum"
@@ -137,36 +140,15 @@ class SumBasedOrdering(Ordering):
             + rank_permutation(ranks)
         )
 
-    def _rank_block(self, length: int, ranks: np.ndarray) -> np.ndarray:
+    def _rank_matrix(self, lengths: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        # Stages one to three are one table lookup per row, keyed by the
+        # row's rank multiset (zero pads sort first and add nothing to the
+        # code); stage four is the Algorithm 1 permutation rank.
         base = self._ranking.size
-        summed = ranks.sum(axis=1)
-        out = np.full(ranks.shape[0], self._length_offset(length), dtype=np.int64)
-        # Stage two: one offset per feasible summed rank (the band
-        # [length, length·|L|]), looked up for all rows at once.
-        sum_offsets = np.array(
-            [
-                self._sum_offset(length, candidate)
-                for candidate in range(length, length * base + 1)
-            ],
-            dtype=np.int64,
-        )
-        out += sum_offsets[summed - length]
-        # Stage three: rows sharing a rank multiset share their combination
-        # offset, so only the unique sorted rows go through the memoised
-        # per-combination table (their count is tiny next to the block size).
-        combinations = np.sort(ranks, axis=1)
-        unique, inverse = np.unique(combinations, axis=0, return_inverse=True)
-        unique_offsets = np.array(
-            [
-                self._combination_offsets(length, int(row.sum()))[
-                    tuple(int(value) for value in row)
-                ]
-                for row in unique
-            ],
-            dtype=np.int64,
-        )
-        out += unique_offsets[inverse]
-        return out + _permutation_ranks(ranks, base)
+        codes, offsets = multiset_offset_table(base, int(lengths.max()))
+        places = (base + 1) ** np.arange(ranks.shape[1] - 1, -1, -1, dtype=np.int64)
+        keys = np.sort(ranks, axis=1) @ places
+        return offsets[np.searchsorted(codes, keys)] + _algorithm1_ranks(ranks)
 
     # ------------------------------------------------------------------
     # unranking: index -> path (the paper's Algorithm 2)
@@ -265,41 +247,110 @@ class SumBasedOrdering(Ordering):
         return sum(self._ranking.ranks(label_path.labels))
 
 
-def _permutation_ranks(ranks: np.ndarray, base: int) -> np.ndarray:
+def _sorted_multisets(label_count: int, length: int) -> np.ndarray:
+    """Every multiset of ``length`` ranks from ``[1, |L|]``, one ascending row each.
+
+    Rows come out in lexicographic order: each row of the previous width is
+    extended by every rank from its last rank up to ``|L|``.  There are
+    ``C(|L| + length - 1, length)`` of them.
+    """
+    rows = np.arange(1, label_count + 1, dtype=np.int64)[:, None]
+    for _ in range(1, length):
+        last = rows[:, -1]
+        fan = label_count - last + 1
+        parent = np.repeat(np.arange(rows.shape[0]), fan)
+        step = np.arange(parent.size) - np.repeat(np.cumsum(fan) - fan, fan)
+        rows = np.column_stack((rows[parent], last[parent] + step))
+    return rows
+
+
+def _multiset_offsets(label_count: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and first-permutation indices of every multiset of one length.
+
+    Within one (length, sum) group, the ``ip(v, m, b)`` order of Equation 4
+    (fewest copies of the largest part first, recursively) is ascending
+    lexicographic order of the *descending* rank tuples: where two
+    multisets' descending tuples first differ, the larger one holds one
+    more copy of that value and as many of every larger value.  So the
+    offsets are one lexsort by (sum, descending tuple) and one exclusive
+    cumsum of ``nop`` (Equation 5); no partition is enumerated.
+    """
+    rows = _sorted_multisets(label_count, length)
+    places = (label_count + 1) ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    # nop(C) = m! / Π multiplicity!, the product of the running run lengths.
+    run = np.ones(rows.shape[0], dtype=np.int64)
+    denominator = np.ones(rows.shape[0], dtype=np.int64)
+    for column in range(1, length):
+        run = np.where(rows[:, column] == rows[:, column - 1], run + 1, 1)
+        denominator *= run
+    members = factorial(length) // denominator
+    # lexsort's last key is the primary one: the sum, then the largest rank.
+    order = np.lexsort((*rows.T, rows.sum(axis=1)))
+    offsets = np.empty_like(members)
+    offsets[order] = np.cumsum(members[order]) - members[order]
+    offsets += sum(label_count**shorter for shorter in range(1, length))
+    return rows @ places, offsets
+
+
+@lru_cache(maxsize=None)
+def multiset_offset_table(
+    label_count: int, max_length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted multiset codes of lengths ``1..max_length`` and their offsets.
+
+    Row ``i`` describes one multiset of ``m <= max_length`` ranks from
+    ``[1, |L|]``: ``codes[i]`` is the base-``(|L|+1)`` number its ascending
+    ranks spell, and ``offsets[i]`` the sum-based index of its first
+    permutation — the stage-one length offset plus the stage-two
+    summed-rank offset plus the stage-three combination offset.  Codes of
+    length ``m`` lie in ``[(|L|+1)^(m-1), (|L|+1)^m)``, so the lengths
+    concatenate into one sorted array and a batch of mixed lengths is
+    resolved with one ``searchsorted``.
+
+    The table depends on ``(|L|, m)`` only — not on the ranking, the graph
+    or ``k`` — so it is built once per process, lazily one length at a time
+    (``Σ_m C(|L|+m-1, m)`` rows: 10,625 for ``|L| = 20, k = 4``), and the
+    arrays are read-only because every ordering shares them.
+    """
+    codes, offsets = _multiset_offsets(label_count, max_length)
+    if max_length > 1:
+        shorter_codes, shorter_offsets = multiset_offset_table(
+            label_count, max_length - 1
+        )
+        codes = np.concatenate((shorter_codes, codes))
+        offsets = np.concatenate((shorter_offsets, offsets))
+    codes.setflags(write=False)
+    offsets.setflags(write=False)
+    return codes, offsets
+
+
+def _algorithm1_ranks(ranks: np.ndarray) -> np.ndarray:
     """Vectorised :func:`~repro.ordering.combinatorics.rank_permutation`.
 
-    Algorithm 1 orders a multiset's permutations ascending-lexicographically,
-    so the rank of each row is accumulated position by position: fixing
-    position ``j`` skips, for every unused smaller value ``d``, the
-    ``perms · count(d) / remaining`` permutations that start with ``d``.  The
-    sweep is ``O(length · |L|)`` vectorised operations over all rows — no
-    per-path Python — and every division is exact (the quantities are
-    permutation counts).
+    Algorithm 1 orders a multiset's permutations lexicographically, so a
+    row's rank is ``Σ_j nop(R_j) · less_j / |R_j|`` over its suffix
+    multisets ``R_j``: fixing position ``j`` skips, for every smaller value
+    ``d`` in ``R_j``, the ``nop(R_j) · count(d) / |R_j|`` permutations that
+    start with ``d`` (each term an exact integer).  ``less_j`` counts the
+    later values below ``x_j``, and ``nop(R_j)`` follows backwards from
+    ``nop(R_{j+1})`` by the recurrence ``nop(R_j) = nop(R_{j+1}) · |R_j| /
+    same_j``, where ``same_j`` is the multiplicity of ``x_j`` in ``R_j``.
+    Zero pads precede every real rank and exceed none, so their terms vanish
+    and each real position sees exactly its own suffix: one pass serves
+    every length.
     """
-    rows, length = ranks.shape
-    counts = (
-        ranks[:, :, None] == np.arange(1, base + 1, dtype=np.int64)[None, None, :]
-    ).sum(axis=1)
-    factorials = np.array(
-        [factorial(value) for value in range(length + 1)], dtype=np.int64
-    )
-    perms = factorials[length] // factorials[counts].prod(axis=1)
-    out = np.zeros(rows, dtype=np.int64)
-    for position in range(length - 1):
-        remaining = length - position
-        current = ranks[:, position]
-        cumulative = counts.cumsum(axis=1)
-        below = np.where(
-            current > 1,
-            np.take_along_axis(
-                cumulative, np.maximum(current - 2, 0)[:, None], axis=1
-            )[:, 0],
-            0,
-        )
-        out += perms * below // remaining
-        current_count = np.take_along_axis(counts, (current - 1)[:, None], axis=1)[:, 0]
-        perms = perms * current_count // remaining
-        np.put_along_axis(
-            counts, (current - 1)[:, None], (current_count - 1)[:, None], axis=1
-        )
+    width = ranks.shape[1]
+    columns = ranks.T
+    out = np.zeros(ranks.shape[0], dtype=np.int64)
+    members = np.ones(ranks.shape[0], dtype=np.int64)
+    for position in range(width - 2, -1, -1):
+        current = columns[position]
+        less = np.zeros_like(out)
+        same = np.ones_like(out)
+        for later in columns[position + 1 :]:
+            less += later < current
+            same += later == current
+        size = width - position
+        members = members * size // same
+        out += members * less // size
     return out

@@ -141,14 +141,26 @@ class ServiceClient:
         self.last_request_id = request_id
         self.last_attempts = 0
         self.last_attempt_seconds = []
+        error: Optional[ServiceRequestError] = None
         while True:
             timeout = state.begin_attempt(self._timeout)
             if timeout is None:
-                raise ServiceRequestError(
+                # The budget ran out between attempts: report the deadline,
+                # but keep the last attempt's status, code, hint and message.
+                message = (
                     f"{route}: deadline of {state.deadline:.3f}s exhausted "
-                    f"after {state.attempts} attempt(s)",
+                    f"after {state.attempts} attempt(s)"
+                )
+                if error is not None:
+                    message += f"; last: {error}"
+                raise ServiceRequestError(
+                    message,
+                    status=getattr(error, "status", None),
+                    retry_after=getattr(error, "retry_after", None),
                     attempts=state.attempts,
                     request_id=request_id,
+                    code=getattr(error, "code", None),
+                    envelope=getattr(error, "envelope", None),
                 )
             attempt = state.attempts
             self.last_attempts = attempt

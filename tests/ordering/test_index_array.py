@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import OrderingError, PathError, UnknownLabelError
-from repro.ordering.base import Ordering
 from repro.ordering.registry import make_ordering
 from repro.paths.catalog import SelectivityCatalog
 from repro.paths.enumeration import enumerate_label_paths
@@ -65,16 +64,36 @@ class TestFullDomain:
         assert ordering.index_array([]).shape == (0,)
 
 
+class ScalarIndexCalled(Exception):
+    """Raised by a patched ``Ordering.index``: the scalar fallback ran."""
+
+
+def _scalar_index_forbidden(self, path):
+    raise ScalarIndexCalled(path)
+
+
 @pytest.mark.parametrize("method", VECTORISED_METHODS)
-def test_closed_form_orderings_do_not_fall_back(catalog, method):
+def test_closed_form_orderings_do_not_fall_back(catalog, method, monkeypatch):
     ordering = make_ordering(method, catalog=catalog)
-    assert type(ordering)._rank_block is not Ordering._rank_block
-    assert ordering._canonical_rank_blocks(None) is not None
+    expected = ordering.index_array()
+    paths = [ordering.path(index) for index in range(ordering.size)]
+    monkeypatch.setattr(type(ordering), "index", _scalar_index_forbidden)
+    assert np.array_equal(ordering.index_array(), expected)
+    assert ordering.index_array(paths).tolist() == list(range(ordering.size))
+    assert np.array_equal(
+        ordering.rank_domain_indices(np.arange(ordering.size)), expected
+    )
 
 
-def test_ideal_ordering_uses_fallback(catalog):
+def test_ideal_ordering_uses_fallback(catalog, monkeypatch):
     ordering = make_ordering("ideal", catalog=catalog)
-    assert ordering._canonical_rank_blocks(None) is None
+    monkeypatch.setattr(type(ordering), "index", _scalar_index_forbidden)
+    with pytest.raises(ScalarIndexCalled):
+        ordering.index_array()
+    with pytest.raises(ScalarIndexCalled):
+        ordering.index_array(["1"])
+    with pytest.raises(ScalarIndexCalled):
+        ordering.rank_domain_indices([0])
 
 
 class TestValidation:

@@ -25,6 +25,7 @@ from repro.serving import (
     SessionRegistry,
     make_server,
 )
+from repro.retry import RetryState
 from repro.testing import injector
 
 CONFIG = EngineConfig(max_length=2, bucket_count=8)
@@ -298,6 +299,35 @@ class TestClientRetries:
         with pytest.raises(ServiceRequestError, match="503"):
             client.estimate("g", ["1/2"], deadline_seconds=0.6)
         assert time.monotonic() - started < 2.0
+
+    def test_deadline_between_attempts_keeps_the_last_status(self, server, monkeypatch):
+        # Force the budget to run out between attempts (the timing-dependent
+        # branch): the first attempt runs and answers 503, the second finds
+        # the deadline spent.  The error must still carry that 503.
+        server.scheduler.close()
+        begin_attempt = RetryState.begin_attempt
+        calls = []
+
+        def second_call_exhausted(state, timeout):
+            calls.append(timeout)
+            return None if len(calls) == 2 else begin_attempt(state, timeout)
+
+        monkeypatch.setattr(RetryState, "begin_attempt", second_call_exhausted)
+        client = ServiceClient(
+            _url(server),
+            max_retries=5,
+            backoff_seconds=0.001,
+            backoff_max_seconds=0.001,
+        )
+        with pytest.raises(ServiceRequestError, match="deadline") as excinfo:
+            client.estimate("g", ["1/2"], deadline_seconds=30.0)
+        assert len(calls) == 2
+        assert excinfo.value.status == 503
+        assert "503" in str(excinfo.value)
+        assert excinfo.value.code is not None
+        assert excinfo.value.envelope is not None
+        assert excinfo.value.retry_after is not None
+        assert excinfo.value.attempts == 1
 
     def test_non_retryable_status_fails_fast(self, server):
         client = ServiceClient(_url(server), backoff_seconds=0.01)
