@@ -2,8 +2,8 @@
 
 Tracks the incremental-update claim: on a schema-structured graph (labels
 compose only along the schema, so an edge delta localises to few first-label
-subtrees) ``update_selectivity_vector`` beats a cold
-``compute_selectivity_vector`` by rebuilding only the affected slices.
+subtrees) ``update_selectivity_nonzeros`` beats a cold
+``compute_selectivity_nonzeros`` by rebuilding only the affected subtrees.
 ``benchmarks/run_all.py`` measures the acceptance floor (≥ 5× when ≤ 10% of
 subtrees are touched) directly and records it in ``BENCH_engine.json``.
 """
@@ -18,8 +18,8 @@ import pytest
 from repro.graph.delta import GraphDelta, affected_first_labels
 from repro.graph.generators import ring_labeled_graph
 from repro.paths.enumeration import (
-    compute_selectivity_vector,
-    update_selectivity_vector,
+    compute_selectivity_nonzeros,
+    update_selectivity_nonzeros,
 )
 
 #: Ring shape: enough labels that a k-hop delta footprint stays a small
@@ -33,11 +33,11 @@ DELTA_EDGES = 100
 
 @pytest.fixture(scope="module")
 def delta_setup():
-    """(post-delta graph, pre-delta vector, delta) over the ring graph."""
+    """(post-delta graph, pre-delta nonzero pair, delta) over the ring graph."""
     graph = ring_labeled_graph(
         LABEL_COUNT, LAYER_SIZE, EDGES_PER_LABEL, seed=17, name="bench-ring"
     )
-    old_vector = compute_selectivity_vector(graph, MAX_LENGTH)
+    old = compute_selectivity_nonzeros(graph, MAX_LENGTH)
     rng = random.Random(23)
     label = sorted(graph.labels())[LABEL_COUNT // 2]
     removals = rng.sample(list(graph.edges_with_label(label)), DELTA_EDGES // 2)
@@ -51,28 +51,26 @@ def delta_setup():
     delta = GraphDelta(additions=sorted(additions), removals=removals)
     updated = graph.copy()
     delta.apply(updated)
-    return updated, old_vector, delta
+    return updated, old, delta
 
 
 def test_cold_rebuild(benchmark, delta_setup):
     updated, _, _ = delta_setup
-    vector = benchmark(compute_selectivity_vector, updated, MAX_LENGTH)
-    assert vector.size > 0
+    indices, _ = benchmark(compute_selectivity_nonzeros, updated, MAX_LENGTH)
+    assert indices.size > 0
 
 
 def test_incremental_update(benchmark, delta_setup):
-    updated, old_vector, delta = delta_setup
-    vector = benchmark(
-        update_selectivity_vector, updated, MAX_LENGTH, old_vector, delta
-    )
-    assert vector.size == old_vector.size
+    updated, old, delta = delta_setup
+    indices, counts = benchmark(update_selectivity_nonzeros, updated, MAX_LENGTH, *old, delta)
+    assert indices.size == counts.size > 0
 
 
 def test_incremental_matches_cold(delta_setup):
-    updated, old_vector, delta = delta_setup
-    cold = compute_selectivity_vector(updated, MAX_LENGTH)
-    patched = update_selectivity_vector(updated, MAX_LENGTH, old_vector, delta)
-    assert np.array_equal(cold, patched)
+    updated, old, delta = delta_setup
+    cold = compute_selectivity_nonzeros(updated, MAX_LENGTH)
+    patched = update_selectivity_nonzeros(updated, MAX_LENGTH, *old, delta)
+    assert all(map(np.array_equal, cold, patched))
 
 
 def test_delta_footprint_is_local(delta_setup):

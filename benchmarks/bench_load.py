@@ -102,9 +102,7 @@ def _prepare_cache(tmp: Path, quick: bool) -> tuple[Path, Path, int]:
     write_edge_list(graph, graph_path)
     cache_dir = tmp / "cache"
     cache = ArtifactCache(cache_dir)
-    config = EngineConfig(
-        max_length=MAX_LENGTH, bucket_count=BUCKETS, storage="sparse"
-    )
+    config = EngineConfig(max_length=MAX_LENGTH, bucket_count=BUCKETS)
     session = EstimationSession.build(graph, config, cache_dir=cache)
     key = session.stats.catalog_key
 
@@ -147,8 +145,6 @@ def _start_server(
             str(MAX_LENGTH),
             "--buckets",
             str(BUCKETS),
-            "--storage",
-            "sparse",
             "--cache-dir",
             str(cache_dir),
             "--workers",

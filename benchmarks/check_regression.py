@@ -6,9 +6,9 @@ this script with the *committed* document as the baseline and the fresh one
 as the current run.  Two things are checked:
 
 * every floor **recorded in the baseline** (batch ≥ 10×, sparse batch
-  ≥ 3× the per-path loop, npz ≤ 25%,
+  ≥ 3× the per-path loop,
   dense cold-build peak ≤ 16 MiB traced, coalesced ≥ 5×, delta ≥ 5×,
-  sparse build ≥ 2×, sparse artifact ≤ 5%, sparse serve RSS
+  sparse serve RSS
   < 1 GiB, chaos availability ≥ 99%, open-circuit fast-fail < 10 ms,
   pre-fork serving ≥ 2× single-process QPS with p99 ≤ 1.5×, extra mmap
   worker ≤ 25% of a private catalog copy, remote warm-start ≥ 10×,
@@ -59,12 +59,9 @@ from run_all import (  # noqa: E402
 FLOORS: tuple[tuple[str, str, str, str], ...] = (
     ("engine", "batch_speedup", "batch_speedup_floor", ">="),
     ("engine", "sparse_batch_speedup", "sparse_batch_speedup_floor", ">="),
-    ("catalog", "artifact_npz_ratio", "artifact_npz_ratio_ceiling", "<="),
     ("catalog", "build_peak_mib", "build_peak_mib_ceiling", "<="),
     ("serving", "coalesced_speedup", "coalesced_speedup_floor", ">="),
     ("delta", "incremental_speedup", "incremental_speedup_floor", ">="),
-    ("sparse", "build_speedup", "build_speedup_floor", ">="),
-    ("sparse", "artifact_ratio", "artifact_ratio_ceiling", "<="),
     ("sparse", "serve_max_rss_bytes", "serve_rss_ceiling_bytes", "<="),
     ("chaos", "availability", "availability_floor", ">="),
     ("chaos", "circuit_fast_fail_seconds", "fast_fail_ceiling_seconds", "<="),

@@ -9,7 +9,7 @@ Drives the incremental-update pipeline exactly the way an operator would:
    write it in the ``+|- source label target`` file format, and apply it
    with ``repro engine update`` against the same cache;
 3. assert the patched ``catalog-<key>.npz`` artifact in the cache is
-   **byte-identical** to a cold ``compute_selectivity_vector`` on the
+   **byte-identical** to a cold ``compute_selectivity_nonzeros`` on the
    post-delta graph, and that the update only recomputed the affected
    first-label subtrees (not the whole trie).
 
@@ -60,7 +60,7 @@ def _run() -> int:
     from repro.graph.generators import ring_labeled_graph
     from repro.graph.io import read_edge_list, write_edge_list
     from repro.paths.catalog import SelectivityCatalog
-    from repro.paths.enumeration import compute_selectivity_vector
+    from repro.paths.enumeration import compute_selectivity_nonzeros
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
@@ -157,10 +157,10 @@ def _run() -> int:
         check(patched_path.exists(), f"patched artifact missing: {patched_path.name}")
         if not patched_path.exists():
             return 1
-        patched = SelectivityCatalog.load(patched_path)
-        cold = compute_selectivity_vector(read_edge_list(updated_path), MAX_LENGTH)
+        patched = SelectivityCatalog.load_npz(patched_path)
+        cold = compute_selectivity_nonzeros(read_edge_list(updated_path), MAX_LENGTH)
         check(
-            bool(np.array_equal(patched.frequency_vector(), cold)),
+            all(map(np.array_equal, patched.nonzero_arrays(), cold)),
             "patched catalog differs from a cold rebuild of the updated graph",
         )
 
@@ -168,7 +168,7 @@ def _run() -> int:
             print(
                 f"delta-smoke ok: {DELTA_EDGES}-edge delta recomputed "
                 f"{row['delta_affected_subtrees']}/{row['delta_subtrees_total']} "
-                f"subtrees, patched vector identical to cold rebuild "
+                f"subtrees, patched nonzeros identical to cold rebuild "
                 f"({patched.domain_size} paths)"
             )
     return 1 if failures else 0

@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""End-to-end smoke of a sparse-storage session at dense-infeasible scale.
+"""End-to-end smoke of an on-demand-ranking session at dense-infeasible scale.
 
-Generates a ``|L|=20, k=6`` synthetic graph — a 67,368,420-entry dense
-domain, ~512 MB as an ``int64`` vector before counting the position table —
-writes it to an edge list, starts the **real** ``repro serve`` CLI with
-``--storage sparse``, and drives estimates through the stdlib client.  The
-server process's peak RSS (``VmHWM``) must stay under 1 GiB: the proof that
-the sparse catalog core, the lazy position mode and the O(nnz) histograms
+Generates a ``|L|=20, k=6`` synthetic graph — a 67,368,420-path domain,
+~512 MB as an ``int64`` vector before counting a position table — writes
+it to an edge list, starts the **real** ``repro serve`` CLI with its
+defaults, and drives estimates through the stdlib client.  The session
+must rank on demand (``lazy_positions`` in the ``/v1/warm`` stats), and
+the server process's peak RSS (``VmHWM``) must stay under 1 GiB: the proof
+that the nonzero catalog, the lazy position mode and the O(nnz) histograms
 hold end to end, not just in unit tests.
 
 Run directly (CI job) or with ``--json`` (consumed by ``run_all.py``, which
@@ -109,9 +110,9 @@ def _run(args: argparse.Namespace) -> int:
         seed=GRAPH_SPEC["seed"],
         name="sparse-smoke",
     )
-    # Reference truths from an in-process sparse catalog: the served session
-    # must agree on which paths exist at all.
-    reference = SelectivityCatalog.from_graph(graph, MAX_LENGTH, storage="sparse")
+    # Reference truths from an in-process catalog: the served session must
+    # agree on which paths exist at all.
+    reference = SelectivityCatalog.from_graph(graph, MAX_LENGTH)
     nonzero = [str(path) for path in reference.nonzero_paths()[:32]]
     check(len(nonzero) >= 8, f"degenerate smoke graph: only {len(nonzero)} paths")
 
@@ -142,8 +143,6 @@ def _run(args: argparse.Namespace) -> int:
                 str(MAX_LENGTH),
                 "--buckets",
                 "64",
-                "--storage",
-                "sparse",
                 # One worker process: the RSS measurement below reads this
                 # pid's VmHWM and must cover the process that built/served.
                 "--workers",
@@ -164,12 +163,12 @@ def _run(args: argparse.Namespace) -> int:
                 f"served domain {build.get('domain_size')} != "
                 f"{reference.domain_size}",
             )
+            check(
+                build.get("lazy_positions") is True,
+                f"server built a position table instead of ranking on demand: {build}",
+            )
 
             rows = client.graphs()
-            check(
-                bool(rows) and rows[0].get("catalog_storage") == "sparse",
-                f"server did not build a sparse catalog: {rows}",
-            )
             memory_bytes = rows[0].get("memory_bytes") if rows else None
 
             estimates = client.estimate("big", nonzero)

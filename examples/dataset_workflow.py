@@ -39,8 +39,8 @@ def main(output_directory: str | None = None) -> None:
         reloaded = read_edge_list(edge_file, name=name)
 
         catalog = SelectivityCatalog.from_graph(reloaded, max_length=2)
-        catalog_file = target / f"{name}.catalog.json"
-        catalog.save(catalog_file)
+        catalog_file = target / f"{name}.catalog.npz"
+        catalog.save_npz(catalog_file)
 
         summary = summarize_graph(reloaded)
         rows.append(

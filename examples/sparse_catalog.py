@@ -3,9 +3,10 @@
 A ``|L| = 20, k = 6`` alphabet spans 67,368,420 label paths.  Storing one
 ``int64`` selectivity per path costs ~512 MB *per session* before counting
 the engine's position table — yet a realistic graph at that scale has a few
-hundred paths with nonzero selectivity.  This walkthrough builds the sparse
-catalog (O(nnz) memory), shows that it answers exactly like a dense one,
-and runs a full estimation session plus an incremental delta update on it.
+hundred paths with nonzero selectivity.  The catalog stores only those
+(O(nnz) memory); this walkthrough shows that it answers every path of the
+domain, and runs a full estimation session plus an incremental delta
+update on it.
 
 Run with::
 
@@ -19,6 +20,7 @@ import numpy as np
 from repro.engine import EngineConfig, EstimationSession
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import zipf_labeled_graph
+from repro.histogram.builder import dense_layout
 from repro.paths.catalog import SelectivityCatalog
 
 LABELS = 20
@@ -35,42 +37,42 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 1. The sparse catalog: O(nnz) instead of O(|Lk|)
+    # 1. The catalog: O(nnz) instead of O(|Lk|)
     # ------------------------------------------------------------------
-    catalog = SelectivityCatalog.from_graph(graph, MAX_LENGTH, storage="sparse")
+    catalog = SelectivityCatalog.from_graph(graph, MAX_LENGTH)
     dense_bytes = 8 * catalog.domain_size  # what a dense int64 vector would cost
     print(
         f"domain |Lk| = {catalog.domain_size:,} paths, "
         f"nonzero = {catalog.nnz} ({catalog.density:.2e} density)"
     )
     print(
-        f"resident bytes: sparse {catalog.memory_bytes():,} vs dense "
+        f"resident bytes: {catalog.memory_bytes():,} vs a dense vector's "
         f"{dense_bytes:,} ({dense_bytes / catalog.memory_bytes():,.0f}x)"
     )
 
-    # Lookups behave exactly like a dense catalog: implicit entries are 0.
+    # Every path of the domain has an answer: paths not stored read 0.
     busiest = max(catalog.nonzero_paths(), key=catalog.selectivity)
     print(f"busiest path: {busiest} with f = {catalog.selectivity(busiest)}")
     absent = "/".join([catalog.labels[0]] * MAX_LENGTH)
     print(f"absent path {absent!r} reads f = {catalog.selectivity(absent)}")
 
-    # On a *small* domain the same code picks dense storage automatically.
+    # Sessions lay a small domain out densely (a position table and a dense
+    # histogram array) and a large, mostly-zero one sparsely.
     small = SelectivityCatalog.from_graph(graph, 2)
-    print(f"k=2 catalog ({small.domain_size} paths) auto-resolved: {small.storage}")
+    for name, shown in (("k=2", small), (f"k={MAX_LENGTH}", catalog)):
+        layout = "dense" if dense_layout(shown.domain_size, shown.nnz) else "sparse"
+        print(f"{name} catalog ({shown.domain_size:,} paths): {layout} layout")
 
     # ------------------------------------------------------------------
     # 2. A full estimation session — histogram included — in O(nnz)
     # ------------------------------------------------------------------
-    config = EngineConfig(
-        max_length=MAX_LENGTH, ordering="sum-based", bucket_count=64, storage="sparse"
-    )
+    config = EngineConfig(max_length=MAX_LENGTH, ordering="sum-based", bucket_count=64)
     session = EstimationSession.build(graph, config)
     workload = [str(path) for path in catalog.nonzero_paths()[:10]]
     estimates = session.estimate_batch(workload)
     print(
         f"session memory: {session.memory_bytes():,} bytes "
-        f"(storage={session.catalog.storage}, "
-        f"lazy positions={session.stats.extra.get('lazy_positions')})"
+        f"(lazy positions={session.stats.extra.get('lazy_positions')})"
     )
     for path, estimate in zip(workload[:5], estimates[:5]):
         print(f"  e({path}) = {estimate:10.2f}   true f = {session.true_selectivity(path)}")
@@ -86,11 +88,11 @@ def main() -> None:
         f"delta: removed one {label!r} edge -> "
         f"{updated.stats.extra.get('delta_affected_subtrees')}/"
         f"{updated.stats.extra.get('delta_subtrees_total')} subtrees recomputed, "
-        f"catalog still {updated.catalog.storage}"
+        f"catalog nnz {updated.catalog.nnz}"
     )
 
     # The patched catalog equals a cold rebuild of the post-delta graph.
-    cold = SelectivityCatalog.from_graph(updated.graph, MAX_LENGTH, storage="sparse")
+    cold = SelectivityCatalog.from_graph(updated.graph, MAX_LENGTH)
     patched_indices, patched_counts = updated.catalog.nonzero_arrays()
     cold_indices, cold_counts = cold.nonzero_arrays()
     assert np.array_equal(patched_indices, cold_indices)

@@ -6,10 +6,10 @@ tables and figures can be regenerated without writing Python::
 
     repro datasets                          # Table 3
     repro generate moreno-health --scale 0.05 -o moreno.tsv
-    repro catalog moreno.tsv -k 3 -o moreno.catalog.json
+    repro catalog moreno.tsv -k 3 -o moreno.catalog.npz
     repro experiment table4 --scale 0.02 -k 3
     repro experiment figure2 --scale 0.01 -k 2 3
-    repro estimate moreno.catalog.json "1/2/3" --ordering sum-based --buckets 32
+    repro estimate moreno.catalog.npz "1/2/3" --ordering sum-based --buckets 32
     repro engine build moreno.tsv -k 3 --cache-dir .repro-cache
     repro engine estimate moreno.tsv "1/2/3" "2/2" --cache-dir .repro-cache
     repro engine update moreno.tsv --delta churn.delta --cache-dir .repro-cache
@@ -58,7 +58,7 @@ def add_engine_options(
     """Install the shared engine flag block on ``parser``.
 
     One definition of the ``-k/--max-length``, ``--ordering``, ``--buckets``,
-    ``--histogram``, ``--storage``, ``--cache-dir`` and ``--remote-cache``
+    ``--histogram``, ``--cache-dir`` and ``--remote-cache``
     flags shared by ``repro catalog``, every ``repro engine`` subcommand and
     ``repro serve``, so defaults and help text cannot drift between them.
     :meth:`repro.engine.EngineConfig.from_args` consumes the resulting
@@ -85,13 +85,15 @@ def add_engine_options(
         help="shared artifact store ('repro artifact-server') consulted on "
         "local cache miss and pushed to after cold builds",
     )
-    parser.add_argument(
-        "--storage",
-        choices=("auto", "dense", "sparse"),
-        default="auto",
-        help="catalog representation: sparse stores only nonzero paths "
-        "(O(nnz) memory); auto picks by density",
-    )
+
+
+def _npz_path(text: str) -> str:
+    """An argparse type: a catalog file path, which must end in ``.npz``."""
+    if not text.endswith(".npz"):
+        raise argparse.ArgumentTypeError(
+            f"catalogs are .npz archives; {text!r} does not end in .npz"
+        )
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,16 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
     catalog = subparsers.add_parser("catalog", help="build a selectivity catalog")
     catalog.add_argument("graph", help="edge-list file of the graph")
     catalog.add_argument(
-        "-o",
-        "--output",
-        required=True,
-        help="catalog output path (.npz extension writes the compressed "
-        "columnar form, anything else JSON)",
+        "-o", "--output", required=True, type=_npz_path, help="catalog output path (.npz)"
     )
     add_engine_options(catalog, estimation=False)
 
     estimate = subparsers.add_parser("estimate", help="estimate one path's selectivity")
-    estimate.add_argument("catalog", help="catalog JSON produced by 'repro catalog'")
+    estimate.add_argument(
+        "catalog", type=_npz_path, help="catalog .npz produced by 'repro catalog'"
+    )
     estimate.add_argument("path", help="label path, e.g. 1/2/3")
     estimate.add_argument("--ordering", default="sum-based")
     estimate.add_argument("--buckets", type=int, default=32)
@@ -694,36 +694,19 @@ def _run_catalog(args: argparse.Namespace) -> int:
         with tempfile.TemporaryDirectory(prefix="repro-catalog-") as scratch:
             target = Path(scratch) / str(remote_name)
             if remote.fetch(str(remote_name), target) == "hit":
-                catalog = SelectivityCatalog.load(target)
+                catalog = SelectivityCatalog.load_npz(target)
                 print(f"catalog fetched from {remote.base_url} ({remote_name})")
     built = catalog is None
     if catalog is None:
-        catalog = SelectivityCatalog.from_graph(
-            graph, args.max_length, storage=args.storage
-        )
-    if str(args.output).endswith(".npz"):
-        catalog.save_npz(args.output)
-        push_source = str(args.output)
-    else:
-        catalog.save(args.output)
-        push_source = None
+        catalog = SelectivityCatalog.from_graph(graph, args.max_length)
+    catalog.save_npz(args.output)
     if remote is not None and built:
-        import tempfile
-        from pathlib import Path
-
-        if push_source is not None:
-            pushed = remote.push(push_source, name=str(remote_name))
-        else:
-            with tempfile.TemporaryDirectory(prefix="repro-catalog-") as scratch:
-                staged = Path(scratch) / str(remote_name)
-                catalog.save_npz(staged)
-                pushed = remote.push(staged, name=str(remote_name))
+        pushed = remote.push(args.output, name=str(remote_name))
         state = "pushed to" if pushed else "push failed for"
         print(f"{state} {remote.base_url} ({remote_name})")
     print(
         f"catalog with {len(catalog)} paths (k={args.max_length}, "
-        f"|L|={len(catalog.labels)}, storage={catalog.storage}, "
-        f"nnz={catalog.nnz}) written to {args.output}"
+        f"|L|={len(catalog.labels)}, nnz={catalog.nnz}) written to {args.output}"
     )
     return 0
 
@@ -1001,7 +984,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "catalog":
         return _run_catalog(args)
     if args.command == "estimate":
-        catalog = SelectivityCatalog.load(args.catalog)
+        catalog = SelectivityCatalog.load_npz(args.catalog)
         estimator = PathSelectivityEstimator.build(
             catalog,
             ordering=args.ordering,

@@ -3,27 +3,20 @@
 Three artifact kinds are cached, each in its own file under one directory:
 
 * ``catalog-<key>.npz`` — the selectivity catalog (the dominant cost), stored
-  as a compressed NumPy archive (see
-  :meth:`repro.paths.catalog.SelectivityCatalog.save_npz`): the columnar
-  frequency vector for dense-storage catalogs, the O(nnz)
-  ``nz_indices``/``nz_values`` pair for sparse-storage ones; typically a
-  small fraction of the size of the legacy ``catalog-<key>.json`` form,
-  which is still *read* as a fallback so caches written before the columnar
-  format keep warm-starting;
+  as a compressed NumPy archive of its O(nnz) nonzero pair (see
+  :meth:`repro.paths.catalog.SelectivityCatalog.save_npz`);
 * ``histogram-<key>.json`` — the ordering + bucket table pair;
 * ``positions-<key>.npy`` — the domain-position table used by the batched
   hot path (the permutation mapping enumeration order to ordering order).
 
-Large catalogs additionally get an *uncompressed* mmap sidecar next to the
-``.npz``: a ``catalog-<key>.npy`` sibling holding the frequency vector for
-dense-storage catalogs, or a ``catalog-<key>.nzi.npy`` /
-``catalog-<key>.nzv.npy`` pair holding the sorted nonzero indices and their
-counts for sparse-storage ones.  Either lets domains past ``|L|^6`` be served
-through ``np.load(mmap_mode="r")`` without materialising the arrays in
-memory (``load_catalog(..., mmap=True)``; metadata still comes from the
-``.npz``, whose members are decompressed lazily per array), and — because the
-pages are read-only file cache — lets N forked serving workers share one
-physical copy of the catalog.  A missing or stale sidecar (older than its
+Large catalogs additionally get *uncompressed* mmap sidecars next to the
+``.npz``: a ``catalog-<key>.nzi.npy`` / ``catalog-<key>.nzv.npy`` pair
+holding the raw sorted nonzero indices and their counts.  They let domains
+past ``|L|^6`` be served through ``np.load(mmap_mode="r")`` without
+materialising the arrays in memory (``load_catalog(..., mmap=True)``;
+metadata still comes from the ``.npz``, whose members are decompressed
+lazily per array), and — because the pages are read-only file cache — let
+N forked serving workers share one physical copy of the catalog.  A missing or stale sidecar (older than its
 ``.npz``, truncated, or shape-mismatched) silently falls back to the regular
 in-memory ``.npz`` load.
 
@@ -45,11 +38,10 @@ ordering, or the histogram parameters lands on a different file and a stale
 artifact can never be served.  The config digest also carries a
 ``catalog_format`` version field (see
 :meth:`repro.engine.session.EngineConfig.catalog_fields`), so a change to the
-artifact layout re-keys every catalog and a pre-columnar JSON entry is never
-half-trusted under a new-format key — the JSON fallback only ever fires for
-files that were written (and fully validated) by an older release under its
-own key.  Writes are atomic (temp file + ``os.replace``) so a crashed build
-never leaves a truncated artifact behind; a crashed *process* can still
+artifact layout re-keys every catalog and an entry of an older format is
+never read under a new-format key.  Writes are atomic (temp file +
+``os.replace``) so a crashed build never leaves a truncated artifact
+behind; a crashed *process* can still
 leave its temp file, so cache init sweeps dotfile temps older than an hour
 (counted in :attr:`ArtifactCache.temp_cleaned`) and every artifact glob
 skips in-flight temps.
@@ -158,14 +150,6 @@ class ArtifactCache:
         """File path of the catalog artifact for ``key`` (columnar ``.npz``)."""
         return self._root / f"catalog-{key}.npz"
 
-    def legacy_catalog_path(self, key: str) -> Path:
-        """File path of the pre-columnar JSON catalog artifact for ``key``."""
-        return self._root / f"catalog-{key}.json"
-
-    def mmap_catalog_path(self, key: str) -> Path:
-        """File path of the uncompressed frequency-vector sidecar for ``key``."""
-        return self._root / f"catalog-{key}.npy"
-
     def sparse_indices_path(self, key: str) -> Path:
         """File path of the uncompressed sparse nonzero-index sidecar."""
         return self._root / f"catalog-{key}.nzi.npy"
@@ -174,13 +158,9 @@ class ArtifactCache:
         """File path of the uncompressed sparse nonzero-count sidecar."""
         return self._root / f"catalog-{key}.nzv.npy"
 
-    def _sidecar_paths(self, key: str) -> tuple[Path, Path, Path]:
-        """Every mmap sidecar path ``key`` can carry (dense + sparse pair)."""
-        return (
-            self.mmap_catalog_path(key),
-            self.sparse_indices_path(key),
-            self.sparse_values_path(key),
-        )
+    def _sidecar_paths(self, key: str) -> tuple[Path, Path]:
+        """The mmap sidecar pair of ``key`` (nonzero indices, counts)."""
+        return self.sparse_indices_path(key), self.sparse_values_path(key)
 
     def histogram_path(self, key: str) -> Path:
         """File path of the histogram artifact for ``key``."""
@@ -193,48 +173,33 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # catalog
     # ------------------------------------------------------------------
-    def load_catalog(
-        self, key: str, *, legacy_key: Optional[str] = None, mmap: bool = False
-    ) -> Optional[SelectivityCatalog]:
+    def load_catalog(self, key: str, *, mmap: bool = False) -> Optional[SelectivityCatalog]:
         """The cached catalog for ``key``, or ``None`` on a miss.
 
-        The columnar ``.npz`` artifact is preferred.  A legacy ``.json``
-        artifact written by a pre-columnar release is read as a fallback —
-        under ``legacy_key`` when given (the old releases keyed catalogs
-        without the ``catalog_format`` field, so their keys differ), else
-        under ``key`` itself.
-
-        ``mmap=True`` asks for a memory-mapped catalog: when the matching
-        uncompressed sidecar exists — the ``.npy`` frequency vector for a
-        dense archive, the ``.nzi.npy``/``.nzv.npy`` nonzero pair for a
-        sparse one — the arrays are opened with ``np.load(mmap_mode="r")``
-        (read-only pages faulted in on demand) and only the small metadata
+        ``mmap=True`` asks for a memory-mapped catalog: when the
+        uncompressed ``.nzi.npy``/``.nzv.npy`` sidecar pair exists the
+        arrays are opened with ``np.load(mmap_mode="r")`` (read-only pages
+        faulted in on demand) and only the small metadata
         members of the ``.npz`` are decompressed.  Without a usable sidecar
         (missing, stale, or shape-mismatched) the request silently falls
         back to the regular in-memory load, so callers can always pass
         their preference.
 
-        With a remote tier configured, a double local miss (no ``.npz``, no
-        legacy JSON) consults the remote store before giving up; a verified
-        fetch lands the ``.npz`` locally and the load proceeds as a hit.
+        With a remote tier configured, a local miss consults the remote
+        store before giving up; a verified fetch lands the ``.npz`` locally
+        and the load proceeds as a hit.
         """
         faults.fire("cache.load_catalog", key=key)
         path = self.catalog_path(key)
-        if not path.exists():
-            legacy = self.legacy_catalog_path(
-                legacy_key if legacy_key is not None else key
-            )
-            if legacy.exists():
-                path = legacy
-            elif not self._fetch_remote(self.catalog_path(key)):
-                self.misses += 1
-                _CACHE_MISSES.inc(kind="catalog")
-                return None
+        if not path.exists() and not self._fetch_remote(path):
+            self.misses += 1
+            _CACHE_MISSES.inc(kind="catalog")
+            return None
         try:
-            if mmap and path == self.catalog_path(key):
+            if mmap:
                 catalog = self._load_catalog_mmap(key, path)
             else:
-                catalog = SelectivityCatalog.load(path)
+                catalog = SelectivityCatalog.load_npz(path)
         except FileNotFoundError:
             # Racing eviction/prune between the existence probe and the
             # open: the artifact is simply gone — a clean miss, not damage.
@@ -265,22 +230,13 @@ class ArtifactCache:
 
     @staticmethod
     def _corrupt_error(kind: str, path: Path, cause: Exception) -> EngineError:
-        """An :class:`EngineError` for a damaged artifact, carrying its path.
-
-        ``artifact_path`` lets the session quarantine exactly the file that
-        failed to parse (the legacy-JSON fallback lives under a *different*
-        key than the one being loaded, so the key alone cannot name it).
-        """
-        error = EngineError(f"corrupt cached {kind} at {path}: {cause}")
-        error.artifact_path = path
-        return error
+        """An :class:`EngineError` naming a damaged artifact and the cause."""
+        return EngineError(f"corrupt cached {kind} at {path}: {cause}")
 
     def _load_catalog_mmap(self, key: str, npz_path: Path) -> SelectivityCatalog:
-        """Catalog with metadata from ``npz_path`` and mmap'd arrays.
+        """Catalog with metadata from ``npz_path`` and the mmap'd sidecar pair.
 
-        Dense archives adopt the ``.npy`` frequency-vector sidecar; sparse
-        archives adopt the ``.nzi.npy``/``.nzv.npy`` nonzero pair.  A
-        *missing or stale* sidecar falls back silently to the regular
+        A *missing or stale* sidecar falls back silently to the regular
         in-memory ``.npz`` load (it simply is not there to use — a deleted
         sidecar never takes a key down).  A *fresh but unreadable or
         mis-shaped* one is damage: the raised error flows through
@@ -288,46 +244,27 @@ class ArtifactCache:
         quarantines the family and rebuilds, exactly like a damaged
         archive.
         """
+        indices_path, values_path = self._sidecar_paths(key)
+        if not self._sidecar_fresh(npz_path, indices_path, values_path):
+            return SelectivityCatalog.load_npz(npz_path)
         with np.load(npz_path, allow_pickle=False) as archive:
-            if "explicit" in archive.files:
-                # Pruned-mapping masks are not modelled by the mmap path;
-                # they are small by construction, so load them normally.
-                return SelectivityCatalog.load(npz_path)
-            sparse = "nz_indices" in archive.files
             labels = [str(label) for label in archive["labels"]]
             max_length = int(archive["max_length"])
             graph_name = str(archive["graph_name"])
-        if sparse:
-            indices_path = self.sparse_indices_path(key)
-            values_path = self.sparse_values_path(key)
-            if not self._sidecar_fresh(npz_path, indices_path, values_path):
-                return SelectivityCatalog.load(npz_path)
-            indices = np.load(indices_path, mmap_mode="r", allow_pickle=False)
-            values = np.load(values_path, mmap_mode="r", allow_pickle=False)
-            if (
-                indices.dtype != np.int64
-                or values.dtype != np.int64
-                or indices.ndim != 1
-                or indices.shape != values.shape
-            ):
-                raise ValueError(
-                    f"sparse sidecar shape/dtype mismatch for {key}: "
-                    f"{indices.dtype}{indices.shape} vs {values.dtype}{values.shape}"
-                )
-            return SelectivityCatalog.from_nonzeros(
-                labels,
-                max_length,
-                indices,
-                values,
-                graph_name=graph_name,
-                copy=False,
+        indices = np.load(indices_path, mmap_mode="r", allow_pickle=False)
+        values = np.load(values_path, mmap_mode="r", allow_pickle=False)
+        if (
+            indices.dtype != np.int64
+            or values.dtype != np.int64
+            or indices.ndim != 1
+            or indices.shape != values.shape
+        ):
+            raise ValueError(
+                f"sparse sidecar shape/dtype mismatch for {key}: "
+                f"{indices.dtype}{indices.shape} vs {values.dtype}{values.shape}"
             )
-        sidecar = self.mmap_catalog_path(key)
-        if not self._sidecar_fresh(npz_path, sidecar):
-            return SelectivityCatalog.load(npz_path)
-        frequencies = np.load(sidecar, mmap_mode="r", allow_pickle=False)
-        return SelectivityCatalog.from_frequencies(
-            labels, max_length, frequencies, graph_name=graph_name, copy=False
+        return SelectivityCatalog.from_nonzeros(
+            labels, max_length, indices, values, graph_name=graph_name, copy=False
         )
 
     @staticmethod
@@ -402,10 +339,9 @@ class ArtifactCache:
     ) -> Path:
         """Persist ``catalog`` under ``key`` (atomic, ``.npz``); returns the path.
 
-        ``mmap_sidecar`` controls the uncompressed sidecar(s) that
-        :meth:`load_catalog` needs for ``mmap=True`` — the ``.npy``
-        frequency vector for dense storage, the ``.nzi.npy``/``.nzv.npy``
-        nonzero pair for sparse storage.  ``True`` forces the sidecar,
+        ``mmap_sidecar`` controls the uncompressed ``.nzi.npy``/``.nzv.npy``
+        sidecar pair that :meth:`load_catalog` needs for ``mmap=True``.
+        ``True`` forces the sidecar,
         ``False`` suppresses it, and ``None`` (default) writes it
         automatically for domains at or past ``|L|^6`` — the scale where
         holding a private decompressed copy in every process stops being
@@ -431,39 +367,25 @@ class ArtifactCache:
             mmap_sidecar = (
                 catalog.domain_size >= len(catalog.labels) ** _MMAP_SIDECAR_POWER
             )
-        if mmap_sidecar and not catalog.is_dense:
-            # _load_catalog_mmap cannot model the explicit-path mask; it
-            # falls back, so a sidecar would be dead weight on disk.
-            mmap_sidecar = False
-        if mmap_sidecar and catalog.storage == "sparse" and catalog.nnz == 0:
+        if mmap_sidecar and catalog.nnz == 0:
             # A zero-length array cannot be memory-mapped; the npz load of
             # an empty catalog is trivially cheap anyway.
             mmap_sidecar = False
         return bool(mmap_sidecar)
 
     def _write_sidecars(self, key: str, catalog: SelectivityCatalog) -> None:
-        """Write the uncompressed mmap sidecar(s) for ``key`` (atomic).
+        """Write the uncompressed mmap sidecar pair for ``key`` (atomic).
 
         Sidecars never travel to the remote tier — they are derivable from
         the ``.npz`` and their freshness contract is local-mtime-based.
         """
-        if catalog.storage == "sparse":
-            nz_indices, nz_values = catalog.nonzero_arrays()
-            for target, array in (
-                (self.sparse_indices_path(key), nz_indices),
-                (self.sparse_values_path(key), nz_values),
-            ):
-                temp = self._temp_path(target, suffix=".tmp.npy")
-                np.save(temp, np.asarray(array), allow_pickle=False)
-                os.replace(temp, target)
-        else:
-            sidecar = self.mmap_catalog_path(key)
-            temp = self._temp_path(sidecar, suffix=".tmp.npy")
-            np.save(temp, catalog.frequency_vector(), allow_pickle=False)
-            os.replace(temp, sidecar)
+        for target, array in zip(self._sidecar_paths(key), catalog.nonzero_arrays()):
+            temp = self._temp_path(target, suffix=".tmp.npy")
+            np.save(temp, np.asarray(array), allow_pickle=False)
+            os.replace(temp, target)
 
     def ensure_sidecars(self, key: str, catalog: SelectivityCatalog) -> bool:
-        """Backfill the mmap sidecar(s) for an already stored ``key``.
+        """Backfill the mmap sidecar pair for an already stored ``key``.
 
         A remote warm-start lands only the ``.npz`` (sidecars are local
         derivatives), so a prefork parent that wants children sharing pages
@@ -474,13 +396,7 @@ class ArtifactCache:
         npz = self.catalog_path(key)
         if not npz.exists() or not self._sidecar_wanted(catalog, None):
             return False
-        if catalog.storage == "sparse":
-            fresh = self._sidecar_fresh(
-                npz, self.sparse_indices_path(key), self.sparse_values_path(key)
-            )
-        else:
-            fresh = self._sidecar_fresh(npz, self.mmap_catalog_path(key))
-        if not fresh:
+        if not self._sidecar_fresh(npz, *self._sidecar_paths(key)):
             self._write_sidecars(key, catalog)
         return True
 
@@ -570,11 +486,7 @@ class ArtifactCache:
         per file moved.
         """
         if kind == "catalog":
-            candidates = (
-                self.catalog_path(key),
-                *self._sidecar_paths(key),
-                self.legacy_catalog_path(key),
-            )
+            candidates = (self.catalog_path(key), *self._sidecar_paths(key))
         elif kind == "histogram":
             candidates = (self.histogram_path(key),)
         elif kind == "positions":
@@ -657,7 +569,6 @@ class ArtifactCache:
         patterns = (
             "catalog-*.npz",
             "catalog-*.npy",
-            "catalog-*.json",
             "histogram-*.json",
             "positions-*.npy",
         )
@@ -684,7 +595,6 @@ class ArtifactCache:
         for path in (
             self.catalog_path(key),
             *self._sidecar_paths(key),
-            self.legacy_catalog_path(key),
             self.histogram_path(key),
             self.positions_path(key),
         ):

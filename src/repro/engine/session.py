@@ -6,9 +6,10 @@ selectivity catalog → ordering → histogram — persists the expensive
 artifacts to an :class:`~repro.engine.cache.ArtifactCache` keyed by the graph
 digest and the engine configuration, and then answers selectivity estimates
 in bulk: :meth:`EstimationSession.estimate_batch` maps thousands of paths to
-domain positions — through a precomputed path → position table in a dense
-session, through the orderings' one vectorised ranking kernel
-(:meth:`~repro.ordering.base.Ordering.index_array`) in a sparse one — and
+domain positions — through a precomputed path → position table when the
+catalog takes the dense layout, through the orderings' one vectorised
+ranking kernel (:meth:`~repro.ordering.base.Ordering.index_array`)
+otherwise (see :func:`~repro.histogram.builder.dense_layout`) — and
 resolves them against the histogram with one vectorised lookup, avoiding
 the per-path Python overhead of calling ``estimate`` in a loop.
 
@@ -34,6 +35,7 @@ from repro.graph.digraph import LabeledDiGraph
 from repro.histogram.builder import (
     LabelPathHistogram,
     build_histogram,
+    dense_layout,
     domain_frequencies,
 )
 from repro.histogram.vopt import VOptimalHistogram
@@ -41,7 +43,7 @@ from repro.obs import tracing
 from repro.obs.metrics import BUILD_BUCKETS, Histogram
 from repro.ordering.base import Ordering
 from repro.ordering.registry import make_ordering
-from repro.paths.catalog import CATALOG_STORAGE_MODES, SelectivityCatalog
+from repro.paths.catalog import SelectivityCatalog
 from repro.paths.label_path import SEPARATOR, LabelPath
 
 __all__ = ["EngineConfig", "SessionStats", "EstimationSession"]
@@ -67,34 +69,27 @@ class EngineConfig:
 
     Two sessions with equal configs over byte-identical graphs share every
     cache artifact; changing any field invalidates exactly the artifacts it
-    feeds into (``max_length`` and ``storage`` invalidate all three,
-    ``ordering`` and the histogram fields only the histogram and position
-    table).
+    feeds into (``max_length`` invalidates all three, ``ordering`` and the
+    histogram fields only the histogram and position table).
     """
 
     max_length: int = 3
     ordering: str = "sum-based"
     histogram_kind: str = VOptimalHistogram.kind
     bucket_count: int = 64
-    storage: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_length < 1:
             raise EngineError("max_length must be >= 1")
         if self.bucket_count < 1:
             raise EngineError("bucket_count must be >= 1")
-        if self.storage not in CATALOG_STORAGE_MODES:
-            raise EngineError(
-                f"unknown storage mode {self.storage!r}; expected one of "
-                f"{CATALOG_STORAGE_MODES}"
-            )
 
     @classmethod
     def from_args(cls, args: object, **overrides: object) -> "EngineConfig":
         """Build a config from a parsed CLI namespace.
 
         Reads the shared flag block (``-k/--max-length``, ``--ordering``,
-        ``--histogram``, ``--buckets``, ``--storage``) that
+        ``--histogram``, ``--buckets``) that
         :func:`repro.cli.add_engine_options` installs on every engine-facing
         subcommand, falling back to the dataclass defaults for any flag the
         surface does not carry.  ``overrides`` win over both.
@@ -104,7 +99,6 @@ class EngineConfig:
             "ordering": getattr(args, "ordering", cls.ordering),
             "histogram_kind": getattr(args, "histogram", cls.histogram_kind),
             "bucket_count": getattr(args, "buckets", cls.bucket_count),
-            "storage": getattr(args, "storage", cls.storage),
         }
         values.update(overrides)
         return cls(**values)  # type: ignore[arg-type]
@@ -113,28 +107,11 @@ class EngineConfig:
         """The config fields the catalog artifact depends on.
 
         ``catalog_format`` versions the on-disk artifact layout: bumping it
-        re-keys every catalog, so entries written under an older format (the
-        pre-columnar JSON form) are never half-trusted — they are only read
-        through the explicit fallback under their own old key
-        (:meth:`legacy_catalog_fields`).  Format 3 added the sparse storage
-        modes; ``storage`` is the *requested* mode (``"auto"`` included), so
-        sessions asking for different representations never alias one
-        artifact.
+        re-keys every catalog, so an entry written under an older format is
+        never read under a new-format key.  Format 4 is the gap-encoded
+        nonzero archive (npz version 3).
         """
-        return {
-            "max_length": self.max_length,
-            "catalog_format": 3,
-            "storage": self.storage,
-        }
-
-    def legacy_catalog_fields(self) -> dict[str, object]:
-        """The catalog key fields of the pre-columnar format (no version tag).
-
-        Caches written before the columnar artifact keyed catalogs by these
-        fields alone; the session derives the old key from them so a legacy
-        ``catalog-<key>.json`` entry can still warm-start a build.
-        """
-        return {"max_length": self.max_length}
+        return {"max_length": self.max_length, "catalog_format": 4}
 
     def histogram_fields(self) -> dict[str, object]:
         """The config fields the histogram / position artifacts depend on.
@@ -211,10 +188,10 @@ class EstimationSession:
         self._catalog = catalog
         self._histogram = histogram
         self._position_of = dict(position_of)
-        # Sparse sessions carry no precomputed position table (it would be
-        # O(|Lk|) memory); batches are ranked on demand through the
-        # ordering's vectorised closed forms instead.
-        self._lazy_positions = not self._position_of and catalog.storage == "sparse"
+        # Sessions without a position table (large, mostly-zero domains,
+        # where it would be O(|Lk|) memory) rank batches on demand through
+        # the ordering's vectorised closed forms instead.
+        self._lazy_positions = not self._position_of
         self._config = config
         self._stats = stats if stats is not None else SessionStats()
         self._estimator = PathSelectivityEstimator(histogram)
@@ -248,7 +225,7 @@ class EstimationSession:
         mmap:
             Prefer a memory-mapped catalog on a cache hit (see
             :meth:`ArtifactCache.load_catalog`).  Only changes how the
-            frequency vector is backed; estimates are unaffected.
+            nonzero arrays are backed; estimates are unaffected.
         """
         config = config if config is not None else EngineConfig()
         cache = cls._resolve_cache(cache_dir)
@@ -261,49 +238,32 @@ class EstimationSession:
         stats.extra["fingerprint_seconds"] = fingerprint_seconds
         _STAGE_SECONDS.observe(fingerprint_seconds, stage="fingerprint")
         stats.graph_digest = digest
-        catalog_key, legacy_catalog_key, histogram_key = cls._artifact_keys(
-            digest, config
-        )
+        catalog_key, histogram_key = cls._artifact_keys(digest, config)
         stats.catalog_key = catalog_key
         stats.histogram_key = histogram_key
 
         # 1. Catalog: the expensive exact evaluation of the whole domain,
-        #    landing directly in the columnar frequency vector.  A corrupt
-        #    cached artifact is quarantined (renamed aside) and rebuilt cold
-        #    instead of failing the request — and failing it again on every
-        #    subsequent build of the same key.
+        #    kept as its sorted nonzero pair.  A corrupt cached artifact is
+        #    quarantined (renamed aside) and rebuilt cold instead of failing
+        #    the request — and failing it again on every subsequent build of
+        #    the same key.
         start = time.perf_counter()
         catalog = None
         if cache is not None:
             try:
                 with tracing.span("session.catalog_load", key=catalog_key):
-                    catalog = cache.load_catalog(
-                        catalog_key, legacy_key=legacy_catalog_key, mmap=mmap
-                    )
-            except EngineError as exc:
+                    catalog = cache.load_catalog(catalog_key, mmap=mmap)
+            except EngineError:
                 quarantined = cache.quarantine(catalog_key, kind="catalog")
-                # The legacy-JSON fallback lives under a different key; the
-                # error names the exact file that failed to parse.
-                bad_path = getattr(exc, "artifact_path", None)
-                if bad_path is not None:
-                    extra = cache.quarantine_path(bad_path)
-                    if extra is not None:
-                        quarantined.append(extra)
                 stats.extra["catalog_quarantined"] = len(quarantined)
         if catalog is None:
             with tracing.span("session.catalog_build"):
-                catalog = SelectivityCatalog.from_graph(
-                    graph, config.max_length, storage=config.storage
-                )
+                catalog = SelectivityCatalog.from_graph(graph, config.max_length)
             if cache is not None:
                 cache.store_catalog(catalog_key, catalog)
         else:
             stats.catalog_from_cache = True
-            if cache is not None and not cache.catalog_path(catalog_key).exists():
-                # Warm-started from a legacy JSON artifact: upgrade it to the
-                # columnar form so later starts skip the slow reader.
-                cache.store_catalog(catalog_key, catalog)
-            elif cache is not None and mmap and not catalog.mmap_backed:
+            if cache is not None and mmap and not catalog.mmap_backed:
                 # Warm-started from a remote fetch (which ships only the
                 # ``.npz``) with mmap requested: backfill the sidecars so a
                 # prefork parent's children share pages on the next load.
@@ -330,12 +290,11 @@ class EstimationSession:
         return ArtifactCache(cache_dir)
 
     @staticmethod
-    def _artifact_keys(digest: str, config: EngineConfig) -> tuple[str, str, str]:
-        """The (catalog, legacy catalog, histogram) cache keys for one build."""
+    def _artifact_keys(digest: str, config: EngineConfig) -> tuple[str, str]:
+        """The (catalog, histogram) cache keys for one build."""
         prefix = digest[:24]
         return (
             f"{prefix}-{config_digest(config.catalog_fields())}",
-            f"{prefix}-{config_digest(config.legacy_catalog_fields())}",
             f"{prefix}-{config_digest(config.histogram_fields())}",
         )
 
@@ -382,18 +341,15 @@ class EstimationSession:
 
         # 3. Position table: domain position of every path, in the stable
         #    numerical-alphabetical enumeration order of Lk.  Resolved before
-        #    the histogram so a fresh histogram build can consume the
-        #    catalog's frequency vector through it without per-path lookups.
-        #    Sparse catalogs skip the table entirely — materialising O(|Lk|)
+        #    the histogram so a fresh histogram build can lay the catalog out
+        #    through it without ranking again.  Catalogs outside the dense
+        #    layout skip the table entirely — materialising O(|Lk|)
         #    positions (and a dict entry per path) would defeat the O(nnz)
         #    memory model — and rank queries on demand instead.
         start = time.perf_counter()
         positions: Optional[np.ndarray] = None
         position_of: dict[str, int] = {}
-        if catalog.storage == "sparse":
-            stats.extra["lazy_positions"] = True
-        else:
-            positions = None
+        if dense_layout(catalog.domain_size, catalog.nnz):
             if cache is not None:
                 try:
                     positions = cache.load_positions(histogram_key)
@@ -429,13 +385,15 @@ class EstimationSession:
                 ]
                 names += level
             position_of = dict(zip(names, positions.tolist()))
+        else:
+            stats.extra["lazy_positions"] = True
         stats.positions_seconds = time.perf_counter() - start
         _STAGE_SECONDS.observe(stats.positions_seconds, stage="positions")
         trace = tracing.current_trace()
         if trace is not None:
             trace.add_span("session.positions", stats.positions_seconds)
 
-        # 4. Histogram, built over the vectorised frequency layout on a miss.
+        # 4. Histogram, built over the catalog's domain layout on a miss.
         start = time.perf_counter()
         if histogram is None:
             # A serving engine should not refuse a tiny graph because the
@@ -466,7 +424,6 @@ class EstimationSession:
         stats.total_seconds = time.perf_counter() - build_start
         _STAGE_SECONDS.observe(stats.total_seconds, stage="total")
         stats.domain_size = ordering.size
-        stats.extra["catalog_storage"] = catalog.storage
         stats.extra["catalog_nnz"] = catalog.nnz
         if catalog.mmap_backed:
             stats.extra["catalog_mmap"] = True
@@ -542,7 +499,7 @@ class EstimationSession:
         delta_added, delta_removed = delta.apply(graph)
         digest = graph_digest(graph)
         stats.graph_digest = digest
-        catalog_key, _, histogram_key = self._artifact_keys(digest, config)
+        catalog_key, histogram_key = self._artifact_keys(digest, config)
         stats.catalog_key = catalog_key
         stats.histogram_key = histogram_key
 
@@ -640,12 +597,11 @@ class EstimationSession:
         """Rough resident footprint of the session, in bytes.
 
         The serving registry's byte-budget eviction charges each session by
-        this number: the catalog's stored representation — O(nnz) for
-        sparse storage, the frequency vector for dense (zero when it is
-        memory-mapped: those pages are reclaimable file cache) — plus the
+        this number: the catalog's nonzero arrays (zero when they are
+        memory-mapped: those pages are reclaimable file cache), plus the
         position table (a dict of path string → int, estimated per entry;
-        empty for sparse sessions) and the histogram bucket arrays.  An
-        estimate, not an audit.
+        empty for sessions that rank on demand) and the histogram bucket
+        arrays.  An estimate, not an audit.
         """
         total = self._catalog.memory_bytes()
         total += _POSITION_TABLE_BYTES_PER_PATH * len(self._position_of)
@@ -687,11 +643,11 @@ class EstimationSession:
     def estimate_batch(self, paths: Sequence[PathLike]) -> np.ndarray:
         """Vectorised estimates for a batch of paths, in input order.
 
-        Dense sessions resolve paths through their precomputed position
-        table (one dict lookup each — no parsing, validation or ranking
-        arithmetic on the hot path; for the handful of paths a serving
-        request carries, cheaper than any vectorised ranking).  Sparse
-        sessions have no table: they rank the whole batch on demand with
+        Sessions with a position table resolve paths through it (one dict
+        lookup each — no parsing, validation or ranking arithmetic on the
+        hot path; for the handful of paths a serving request carries,
+        cheaper than any vectorised ranking).  Sessions without one rank
+        the whole batch on demand with
         :meth:`~repro.ordering.base.Ordering.index_array`, which parses
         the strings straight to canonical domain indices and ranks every
         length in one vectorised pass.  Either way the histogram answers

@@ -10,9 +10,9 @@ better:
   :meth:`GraphDelta.reversed` undoes it);
 * :func:`affected_first_labels` is the **affected-subtree analysis**: a
   conservative, cheap (``O(|L|²)`` set intersections) answer to *which
-  first-label subtrees of the path trie can possibly change* — the slices
-  :func:`~repro.paths.enumeration.update_selectivity_vector` recomputes while
-  copying every other slice from the old frequency vector.
+  first-label subtrees of the path trie can possibly change* — the index
+  ranges :func:`~repro.paths.enumeration.update_selectivity_nonzeros`
+  recomputes while keeping every other nonzero entry.
 
 The analysis rests on label composition: the selectivity of a path depends
 only on the matrices of the labels it contains, and a path containing a

@@ -27,11 +27,21 @@ from repro.paths.label_path import LabelPath
 
 __all__ = [
     "HISTOGRAM_KINDS",
+    "SPARSE_LAYOUT_MAX_DENSITY",
+    "SPARSE_LAYOUT_MIN_DOMAIN",
     "LabelPathHistogram",
     "build_histogram",
+    "dense_layout",
     "domain_frequencies",
     "make_histogram",
 ]
+
+#: The sparse layout needs a domain at least this large (below it the dense
+#: array is a few KB and the position table a few thousand entries) ...
+SPARSE_LAYOUT_MIN_DOMAIN = 4096
+
+#: ... and a nonzero share at or below this density.
+SPARSE_LAYOUT_MAX_DENSITY = 0.25
 
 #: Histogram kind name -> class.
 HISTOGRAM_KINDS: dict[str, type[Histogram]] = {
@@ -43,6 +53,22 @@ HISTOGRAM_KINDS: dict[str, type[Histogram]] = {
 }
 
 PathLike = Union[str, LabelPath]
+
+
+def dense_layout(domain: int, nnz: int) -> bool:
+    """Whether a catalog of ``nnz`` nonzero paths in ``domain`` is laid out densely.
+
+    The one dense/sparse choice of the pipeline.  True for small domains
+    and for dense signals: there an engine session keeps a path → position
+    table (a dict lookup beats on-demand ranking for the handful of paths a
+    point request carries) and :func:`domain_frequencies` returns a dense
+    array (the dense histogram algorithms beat the sparse ones once most of
+    the domain is nonzero).  False for large, mostly-zero domains, where
+    both would cost O(|Lk|) for O(nnz) of signal: sessions rank on demand
+    and the histogram is built over a
+    :class:`~repro.histogram.sparse.SparseFrequencies` view.
+    """
+    return domain < SPARSE_LAYOUT_MIN_DOMAIN or nnz > domain * SPARSE_LAYOUT_MAX_DENSITY
 
 
 def domain_frequencies(
@@ -57,18 +83,17 @@ def domain_frequencies(
     distribution the histogram is built over (the black curve of the paper's
     Figure 1, in whichever order ``ordering`` prescribes).
 
-    For dense-storage catalogs the columnar frequency vector is permuted in
-    one vectorised scatter — no per-path dict lookups — and a dense float
-    array is returned.  For sparse-storage catalogs only the nonzero paths
-    are ranked (through :meth:`Ordering.rank_domain_indices`) and the layout
-    comes back as a :class:`~repro.histogram.sparse.SparseFrequencies` view,
-    O(nnz) end to end; the histogram constructors accept either form and
-    produce byte-identical bucket boundaries.
+    Only the nonzero paths are ranked (through ``positions`` or
+    :meth:`Ordering.rank_domain_indices`).  When :func:`dense_layout` holds
+    for the catalog they are scattered into a dense float array; otherwise
+    the layout comes back as a
+    :class:`~repro.histogram.sparse.SparseFrequencies` view, O(nnz) end to
+    end.  The histogram constructors accept either form and produce
+    byte-identical bucket boundaries.
 
     ``positions``, when given, is the precomputed full permutation
     (``positions[i]`` = ordering index of the ``i``-th path of the canonical
-    enumeration, as cached by the engine's artifact store); otherwise the
-    required ranks are derived on the fly.
+    enumeration, as cached by the engine's artifact store).
     """
     if set(ordering.labels) != set(catalog.labels):
         raise HistogramError(
@@ -85,29 +110,23 @@ def domain_frequencies(
             f"position table has shape {positions.shape}, "
             f"expected ({ordering.size},)"
         )
-    if catalog.storage == "sparse":
-        nz_indices, nz_values = catalog.nonzero_arrays()
-        # The canonical order is length-major, so a shorter ordering domain
-        # is a prefix of the canonical index space.
-        cut = int(np.searchsorted(nz_indices, ordering.size))
-        nz_indices = nz_indices[:cut]
-        nz_values = nz_values[:cut]
-        mapped = (
-            positions[nz_indices]
-            if positions is not None
-            else ordering.rank_domain_indices(nz_indices)
-        )
-        order = np.argsort(mapped, kind="stable")
-        return SparseFrequencies(
-            mapped[order], nz_values[order].astype(float), ordering.size
-        )
-    if positions is None:
-        positions = ordering.index_array()
-    frequencies = np.zeros(ordering.size, dtype=float)
-    # The canonical order is length-major, so a shorter ordering domain is a
-    # prefix slice of the catalog's vector.
-    frequencies[positions] = catalog.frequency_vector()[: ordering.size]
-    return frequencies
+    nz_indices, nz_values = catalog.nonzero_arrays()
+    # The canonical order is length-major, so a shorter ordering domain is
+    # a prefix of the canonical index space.
+    cut = int(np.searchsorted(nz_indices, ordering.size))
+    nz_indices = nz_indices[:cut]
+    nz_values = nz_values[:cut]
+    mapped = (
+        positions[nz_indices]
+        if positions is not None
+        else ordering.rank_domain_indices(nz_indices)
+    )
+    if dense_layout(catalog.domain_size, catalog.nnz):
+        frequencies = np.zeros(ordering.size, dtype=float)
+        frequencies[mapped] = nz_values
+        return frequencies
+    order = np.argsort(mapped, kind="stable")
+    return SparseFrequencies(mapped[order], nz_values[order].astype(float), ordering.size)
 
 
 def make_histogram(

@@ -2,10 +2,10 @@
 
 from repro.paths.catalog import SelectivityCatalog
 from repro.paths.enumeration import (
-    compute_selectivity_vector,
+    compute_selectivity_nonzeros,
     domain_size,
     enumerate_label_paths,
-    update_selectivity_vector,
+    update_selectivity_nonzeros,
 )
 from repro.paths.evaluation import (
     BFSPathEvaluator,
@@ -39,7 +39,7 @@ __all__ = [
     "PathIndex",
     "SelectivityCatalog",
     "as_label_path",
-    "compute_selectivity_vector",
+    "compute_selectivity_nonzeros",
     "domain_index_to_path",
     "domain_size",
     "edge_label_base_set",
@@ -49,5 +49,5 @@ __all__ = [
     "path_selectivity",
     "path_to_domain_index",
     "paths_to_domain_indices",
-    "update_selectivity_vector",
+    "update_selectivity_nonzeros",
 ]

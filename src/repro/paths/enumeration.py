@@ -8,7 +8,7 @@ boolean matrix-chain products over the per-label adjacency matrices, where
 the live prefixes of a trie level are stacked into one CSR matrix so that a
 whole batch of prefixes is extended by a label in a single scipy call.
 
-Four entry points share the kernel:
+Three entry points share the kernel:
 
 * :func:`compute_selectivity_nonzeros` — the strictly-positive
   selectivities as aligned ``(domain indices, counts)`` ``int64`` arrays in
@@ -16,12 +16,9 @@ Four entry points share the kernel:
   are never materialised, which is what lets alphabet/length scenarios
   whose dense domain would not fit in memory (``|L|=20, k=6`` is 64M
   entries) build at all.
-* :func:`compute_selectivity_vector` — the same counts scattered into an
-  index-aligned ``int64`` vector in canonical order (see
-  :mod:`repro.paths.index`), the dense catalog representation.
-* :func:`update_selectivity_nonzeros` / :func:`update_selectivity_vector`
-  — delta patches: the kernel reruns on the affected first-label subtrees
-  only and every other entry is kept.
+* :func:`update_selectivity_nonzeros` — a delta patch: the kernel reruns on
+  the affected first-label subtrees only and every other entry is kept.
+* :func:`subtree_level_ranges` — the index ranges such a patch replaces.
 """
 
 from __future__ import annotations
@@ -51,9 +48,7 @@ _CATALOG_BUILD_SECONDS = Histogram(
 __all__ = [
     "domain_size",
     "enumerate_label_paths",
-    "compute_selectivity_vector",
     "compute_selectivity_nonzeros",
-    "update_selectivity_vector",
     "update_selectivity_nonzeros",
     "subtree_level_ranges",
 ]
@@ -96,8 +91,8 @@ def enumerate_label_paths(
     Paths are yielded in *numerical-alphabetical* order: shorter paths first,
     ties broken by the alphabetical order of ``labels`` position by position.
     This is the paper's native domain order, the baseline the orderings are
-    compared against, and the order of the columnar catalog's frequency
-    vector (path ``i`` of this enumeration sits at vector position ``i``).
+    compared against, and the canonical order of the catalog's domain
+    indices (path ``i`` of this enumeration has domain index ``i``).
     """
     if max_length < 1:
         raise PathError("max_length must be >= 1")
@@ -395,12 +390,12 @@ def compute_selectivity_nonzeros(
     """Compute the nonzero part of ``f`` over ``Lk`` as aligned sparse arrays.
 
     Returns ``(indices, counts)``: sorted ``int64`` canonical domain indices
-    of every path with ``f(ℓ) > 0`` and their selectivities, i.e. exactly
-    ``np.nonzero(v)[0]`` and ``v[np.nonzero(v)[0]]`` of the
-    :func:`compute_selectivity_vector` output — computed in O(nnz) memory.
-    The full ``|Lk|`` domain is never allocated: zero subtrees advance only
-    the progress counter, so scenarios whose dense vector would not fit
-    (``|L|=20, k=6`` is 64M entries) build in the space of their signal.
+    of every path with ``f(ℓ) > 0`` and their selectivities (see
+    :func:`repro.paths.index.path_to_domain_index`), computed in O(nnz)
+    memory.  The full ``|Lk|`` domain is never allocated: zero subtrees
+    advance only the progress counter, so scenarios whose dense vector would
+    not fit (``|L|=20, k=6`` is 64M entries) build in the space of their
+    signal.
 
     Parameters
     ----------
@@ -415,34 +410,6 @@ def compute_selectivity_nonzeros(
     """
     alphabet = _alphabet_of(graph, max_length, labels)
     return _cold_nonzeros(graph, alphabet, max_length, store, progress, "catalog.nonzeros")
-
-
-def compute_selectivity_vector(
-    graph: LabeledDiGraph,
-    max_length: int,
-    *,
-    labels: Optional[Sequence[str]] = None,
-    store: Optional[LabelMatrixStore] = None,
-    progress: Optional[Callable[[int], None]] = None,
-) -> np.ndarray:
-    """Compute ``f(ℓ)`` for every ``ℓ ∈ Lk`` as an index-aligned vector.
-
-    The returned ``int64`` array has ``|Lk|`` entries; position ``i`` holds
-    the selectivity of the ``i``-th path of the canonical
-    numerical-alphabetical enumeration (see
-    :func:`repro.paths.index.path_to_domain_index`).  This is the columnar
-    representation :class:`~repro.paths.catalog.SelectivityCatalog` stores
-    and the V-optimal DP consumes directly: the kernel's nonzero counts
-    scattered into a zero-initialised vector.  Parameters are as in
-    :func:`compute_selectivity_nonzeros`.
-    """
-    alphabet = _alphabet_of(graph, max_length, labels)
-    indices, counts = _cold_nonzeros(
-        graph, alphabet, max_length, store, progress, "catalog.vector"
-    )
-    vector = np.zeros(domain_size(len(alphabet), max_length), dtype=np.int64)
-    vector[indices] = counts
-    return vector
 
 
 def subtree_level_ranges(
@@ -496,13 +463,30 @@ def update_selectivity_nonzeros(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Patch sparse ``(indices, counts)`` arrays after ``delta``.
 
-    The sparse counterpart of :func:`update_selectivity_vector`: only the
-    first-label subtrees :func:`~repro.graph.delta.affected_first_labels`
-    flags are re-evaluated (on the post-delta ``graph``); every old entry
-    outside the affected subtrees' index ranges is kept as is.  The result
-    equals a cold :func:`compute_selectivity_nonzeros` on the post-delta
-    graph.  Caller contract (post-delta graph, stable alphabet, optional
-    precomputed ``affected``) is as in :func:`update_selectivity_vector`.
+    ``graph`` must be the **post-delta** graph and ``old_indices`` /
+    ``old_counts`` the output of :func:`compute_selectivity_nonzeros` for
+    the pre-delta graph over the same ``labels`` alphabet and
+    ``max_length``.  Only the first-label subtrees that
+    :func:`~repro.graph.delta.affected_first_labels` flags are re-evaluated
+    (exactly, on the new graph: the kernel simply starts from the affected
+    roots); every old entry outside the affected subtrees' index ranges is
+    kept as is.  The result equals a cold
+    :func:`compute_selectivity_nonzeros` on the post-delta graph.
+
+    The caller is responsible for keeping the domain stable: when the delta
+    changes the label *alphabet* (a new label appears, or ``labels`` no
+    longer matches the graph), the canonical index space itself moves and
+    the right answer is a cold rebuild —
+    :meth:`~repro.paths.catalog.SelectivityCatalog.apply_delta` handles that
+    fallback.  A delta label outside ``labels`` raises
+    :class:`~repro.exceptions.GraphError`.
+
+    Parameters are as in :func:`compute_selectivity_nonzeros`.
+    ``progress`` reports processed paths of the recomputed subtrees only.
+    ``affected``, when given, is a precomputed :func:`affected_first_labels`
+    result for this exact (graph, delta, alphabet) — callers that already
+    ran the analysis (the engine does, for its stats) pass it through so it
+    is not recomputed; soundness is theirs to guarantee.
     """
     alphabet = _alphabet_of(graph, max_length, labels)
     old_indices = np.ascontiguousarray(old_indices, dtype=np.int64)
@@ -533,66 +517,3 @@ def update_selectivity_nonzeros(
     merged_counts = np.concatenate((old_counts[keep], fresh_counts))
     order = np.argsort(merged_indices, kind="stable")
     return merged_indices[order], merged_counts[order]
-
-
-def update_selectivity_vector(
-    graph: LabeledDiGraph,
-    max_length: int,
-    old_vector: np.ndarray,
-    delta: GraphDelta,
-    *,
-    labels: Optional[Sequence[str]] = None,
-    store: Optional[LabelMatrixStore] = None,
-    progress: Optional[Callable[[int], None]] = None,
-    affected: Optional[Sequence[str]] = None,
-) -> np.ndarray:
-    """Patch a frequency vector after ``delta`` without a full cold rebuild.
-
-    ``graph`` must be the **post-delta** graph and ``old_vector`` the output
-    of :func:`compute_selectivity_vector` for the pre-delta graph over the
-    same ``labels`` alphabet and ``max_length``.  Only the first-label
-    subtree slices that :func:`~repro.graph.delta.affected_first_labels`
-    flags are re-evaluated (exactly, on the new graph: the kernel simply
-    starts from the affected roots); every other slice is copied from
-    ``old_vector``.  The result is byte-identical to a cold
-    :func:`compute_selectivity_vector` on the post-delta graph.
-
-    The caller is responsible for keeping the domain stable: when the delta
-    changes the label *alphabet* (a new label appears, or ``labels`` no
-    longer matches the graph), the canonical index space itself moves and
-    the right answer is a cold rebuild —
-    :meth:`~repro.paths.catalog.SelectivityCatalog.apply_delta` handles that
-    fallback.  A delta label outside ``labels`` raises
-    :class:`~repro.exceptions.GraphError`.
-
-    Parameters are as in :func:`compute_selectivity_vector`.  ``progress``
-    reports processed paths of the recomputed subtrees only.  ``affected``,
-    when given, is a precomputed :func:`affected_first_labels` result for
-    this exact (graph, delta, alphabet) — callers that already ran the
-    analysis (the engine does, for its stats) pass it through so it is not
-    recomputed; soundness is theirs to guarantee.
-    """
-    alphabet = _alphabet_of(graph, max_length, labels)
-    expected = domain_size(len(alphabet), max_length)
-    old_vector = np.asarray(old_vector)
-    if old_vector.shape != (expected,):
-        raise PathError(
-            f"old vector has shape {old_vector.shape}, expected ({expected},) "
-            f"for |L|={len(alphabet)}, k={max_length}"
-        )
-    if affected is None:
-        affected = affected_first_labels(graph, delta, max_length, labels=alphabet)
-    vector = np.array(old_vector, dtype=np.int64)
-    if not affected:
-        return vector
-    indices, counts = _patch_nonzeros(
-        graph, alphabet, max_length, affected, store, progress
-    )
-    digit_of = {label: digit for digit, label in enumerate(alphabet)}
-    for label in affected:
-        for low, high in subtree_level_ranges(
-            len(alphabet), max_length, digit_of[label]
-        ):
-            vector[low:high] = 0
-    vector[indices] = counts
-    return vector

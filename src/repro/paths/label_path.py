@@ -99,8 +99,8 @@ class LabelPath:
         """This path's position in the canonical numerical-alphabetical order.
 
         The order is the one :func:`repro.paths.enumeration.enumerate_label_paths`
-        yields and the one the columnar catalog's frequency vector is laid out
-        in: shorter paths first, ties resolved digit by digit over the sorted
+        yields and the one the catalog's domain indices count in: shorter
+        paths first, ties resolved digit by digit over the sorted
         ``alphabet`` (base-``|L|`` arithmetic).
         """
         from repro.paths.index import path_to_domain_index

@@ -62,7 +62,7 @@ ARTIFACTS_PREFIX = "/v1/artifacts"
 #: Anchored and free of separators, so a name can never escape the store
 #: directory or smuggle in an unexpected artifact kind.
 _NAME_RE = re.compile(
-    r"^(?:catalog-[A-Za-z0-9_.-]+\.(?:npz|json)"
+    r"^(?:catalog-[A-Za-z0-9_.-]+\.npz"
     r"|histogram-[A-Za-z0-9_.-]+\.json"
     r"|positions-[A-Za-z0-9_.-]+\.npy)$"
 )

@@ -744,12 +744,10 @@ class SessionRegistry:
                     "max_length": source.config.max_length,
                     "ordering": source.config.ordering,
                     "bucket_count": source.config.bucket_count,
-                    "storage": source.config.storage,
                 }
                 if session is not None:
                     row["domain_size"] = session.domain_size
                     row["memory_bytes"] = session.memory_bytes()
-                    row["catalog_storage"] = session.catalog.storage
                 if self._breaker_threshold:
                     breaker = source.breaker
                     remaining = self._breaker_remaining(breaker)

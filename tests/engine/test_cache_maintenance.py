@@ -105,21 +105,21 @@ class TestMmap:
         cache = ArtifactCache(tmp_path)
         # |L|=3, k=6: domain 1092 >= 3^6 = 729 -> sidecar expected.
         session = _build(cache, max_length=6)
-        assert cache.mmap_catalog_path(session.stats.catalog_key).exists()
+        assert cache.sparse_indices_path(session.stats.catalog_key).exists()
+        assert cache.sparse_values_path(session.stats.catalog_key).exists()
 
     def test_no_sidecar_for_small_domains(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         session = _build(cache, max_length=3)
-        assert not cache.mmap_catalog_path(session.stats.catalog_key).exists()
+        assert not cache.sparse_indices_path(session.stats.catalog_key).exists()
 
     def test_mmap_load_equals_regular_load(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         cold = _build(cache, max_length=6)
         warm = _build(cache, max_length=6, mmap=True)
-        vector = warm.catalog.frequency_vector()
-        assert isinstance(vector, np.memmap)
+        assert all(isinstance(array, np.memmap) for array in warm.catalog.nonzero_arrays())
         assert warm.stats.extra.get("catalog_mmap") is True
-        assert np.array_equal(np.asarray(vector), cold.catalog.frequency_vector())
+        assert np.array_equal(warm.catalog.frequency_vector(), cold.catalog.frequency_vector())
         paths = ["1/2/3", "2/2", "1/1/1/1/1/1"]
         assert np.allclose(warm.estimate_batch(paths), cold.estimate_batch(paths))
         assert warm.catalog.selectivity("1/2") == cold.catalog.selectivity("1/2")
@@ -130,7 +130,7 @@ class TestMmap:
         cache = ArtifactCache(tmp_path)
         cold = _build(cache, max_length=3)  # small domain: no sidecar
         warm = _build(cache, max_length=3, mmap=True)
-        assert not isinstance(warm.catalog.frequency_vector(), np.memmap)
+        assert not warm.catalog.mmap_backed
         assert warm.stats.catalog_from_cache is True
         assert np.array_equal(
             warm.catalog.frequency_vector(), cold.catalog.frequency_vector()
@@ -143,10 +143,8 @@ class TestMmap:
         catalog = SelectivityCatalog.from_graph(_graph(), 2)
         cache.store_catalog("forced", catalog, mmap_sidecar=True)
         loaded = cache.load_catalog("forced", mmap=True)
-        assert isinstance(loaded.frequency_vector(), np.memmap)
-        assert np.array_equal(
-            np.asarray(loaded.frequency_vector()), catalog.frequency_vector()
-        )
+        assert loaded.mmap_backed
+        assert np.array_equal(loaded.frequency_vector(), catalog.frequency_vector())
         assert loaded.labels == catalog.labels
         assert loaded.max_length == catalog.max_length
 
@@ -156,11 +154,13 @@ def test_no_sidecar_for_sparse_catalogs(tmp_path):
     from repro.paths.catalog import SelectivityCatalog
 
     cache = ArtifactCache(tmp_path)
-    # |L|=2, k=7: domain 254 >= 2^6, but the explicit mask makes the mmap
-    # load path fall back, so the sidecar must be suppressed.
-    sparse = SelectivityCatalog(["a", "b"], 7, {"a": 3, "a/b": 1})
-    assert not sparse.is_dense
+    # |L|=2, k=7: domain 254 >= 2^6, but a catalog with no nonzero path has
+    # nothing to memory-map (a zero-length array cannot be), so the sidecar
+    # pair is suppressed and the mmap load falls back to the npz.
+    sparse = SelectivityCatalog(["a", "b"], 7, {"a": 0, "a/b": 0})
+    assert sparse.nnz == 0
     cache.store_catalog("sparse", sparse)
-    assert not cache.mmap_catalog_path("sparse").exists()
+    assert not cache.sparse_indices_path("sparse").exists()
     loaded = cache.load_catalog("sparse", mmap=True)
-    assert loaded.selectivity("a") == 3 and loaded.selectivity("b/b") == 0
+    assert not loaded.mmap_backed
+    assert loaded.selectivity("a") == 0 and loaded.selectivity("b/b") == 0

@@ -64,7 +64,7 @@ class TestEvictionLoadRaces:
         cache = ArtifactCache(tmp_path / "c")
         session = EstimationSession.build(graph, CONFIG, cache_dir=cache)
         key = session.stats.catalog_key
-        real_load = SelectivityCatalog.load.__func__
+        real_load = SelectivityCatalog.load_npz.__func__
 
         def vanish_then_load(cls, path):
             # The artifact disappears between the existence probe and the
@@ -72,9 +72,7 @@ class TestEvictionLoadRaces:
             os.unlink(path)
             return real_load(cls, path)
 
-        monkeypatch.setattr(
-            SelectivityCatalog, "load", classmethod(vanish_then_load)
-        )
+        monkeypatch.setattr(SelectivityCatalog, "load_npz", classmethod(vanish_then_load))
         assert cache.load_catalog(key) is None
         assert cache.misses >= 1
         assert cache.quarantined == 0  # a vanished file is not corruption
@@ -177,24 +175,24 @@ class TestRemoteSidecarBackfill:
         seeder = ArtifactCache(tmp_path / "seed", remote=remote)
         cold = EstimationSession.build(graph, config, cache_dir=seeder)
         key = cold.stats.catalog_key
-        assert seeder.mmap_catalog_path(key).exists()
+        assert seeder.sparse_indices_path(key).exists()
         remote.flush(timeout=30)
         # The remote tier ships only the primaries — sidecars are local.
         remote_names = {row["name"] for row in remote.list_artifacts()}
         assert f"catalog-{key}.npz" in remote_names
-        assert f"catalog-{key}.npy" not in remote_names
+        assert f"catalog-{key}.nzi.npy" not in remote_names
         warm_cache = ArtifactCache(tmp_path / "warm", remote=remote)
         warm = EstimationSession.build(
             graph, config, cache_dir=warm_cache, mmap=True
         )
         assert warm.stats.catalog_from_cache is True
         # First warm start fetched the npz and backfilled the sidecar ...
-        assert warm_cache.mmap_catalog_path(key).exists()
+        assert warm_cache.sparse_indices_path(key).exists()
         # ... so the next one maps pages instead of decompressing.
         second = EstimationSession.build(
             graph, config, cache_dir=warm_cache, mmap=True
         )
-        assert isinstance(second.catalog.frequency_vector(), np.memmap)
+        assert second.catalog.mmap_backed
         assert np.allclose(
             second.estimate_batch(["1/2/3", "2/2"]),
             cold.estimate_batch(["1/2/3", "2/2"]),

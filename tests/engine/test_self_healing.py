@@ -68,7 +68,7 @@ class TestCatalogHealing:
         session = _build(graph, cache)
         key = session.stats.catalog_key
         cache.store_catalog(key, session.catalog, mmap_sidecar=True)
-        sidecar = cache.mmap_catalog_path(key)
+        sidecar = cache.sparse_indices_path(key)
         assert sidecar.exists()
         reference = session.estimate_batch(PATHS)
 

@@ -104,7 +104,6 @@ class TestCacheBehavior:
         import repro.paths.catalog as catalog_module
         import repro.paths.enumeration as enumeration_module
 
-        monkeypatch.setattr(catalog_module, "compute_selectivity_vector", explode)
         monkeypatch.setattr(catalog_module, "compute_selectivity_nonzeros", explode)
         monkeypatch.setattr(enumeration_module, "_matrix_subtrees_nonzeros", explode)
         warm = EstimationSession.build(small_graph, CONFIG, cache_dir=tmp_path)
@@ -162,16 +161,26 @@ class TestCacheBehavior:
 
 
 class TestCatalogOracle:
-    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    @pytest.mark.parametrize(
+        "big, lazy",
+        [pytest.param(False, False, id="dense"), pytest.param(True, True, id="sparse")],
+    )
     def test_cold_and_updated_catalogs_match_per_path_oracle(
-        self, small_graph, oracle_vector, storage
+        self, small_graph, oracle_vector, big, lazy
     ):
+        # One graph on each side of the layout predicate: a small domain
+        # with a position table, a large mostly-zero one ranked on demand.
         from repro.graph.delta import GraphDelta
+        from repro.graph.generators import zipf_labeled_graph
 
-        config = EngineConfig(max_length=3, bucket_count=16, storage=storage)
-        graph = small_graph.copy()
+        config = EngineConfig(max_length=3, bucket_count=16)
+        graph = (
+            zipf_labeled_graph(300, 200, 16, skew=1.0, seed=5)
+            if big
+            else small_graph.copy()
+        )
         session = EstimationSession.build(graph, config)
-        assert session.catalog.storage == storage
+        assert bool(session.stats.extra.get("lazy_positions")) is lazy
         assert np.array_equal(
             session.catalog.frequency_vector(), oracle_vector(graph, 3)
         )
@@ -180,7 +189,7 @@ class TestCatalogOracle:
             additions=[(0, first, 1)], removals=[tuple(next(iter(graph.edges())))]
         )
         updated = session.update(delta)
-        assert updated.catalog.storage == storage
+        assert bool(updated.stats.extra.get("lazy_positions")) is lazy
         assert np.array_equal(
             updated.catalog.frequency_vector(), oracle_vector(graph, 3)
         )

@@ -91,9 +91,9 @@ class TestPipelinePersistence:
         assert reloaded_graph.label_edge_counts() == graph.label_edge_counts()
 
         catalog = SelectivityCatalog.from_graph(graph, 2)
-        catalog_path = tmp_path / "catalog.json"
-        catalog.save(catalog_path)
-        reloaded = SelectivityCatalog.load(catalog_path)
+        catalog_path = tmp_path / "catalog.npz"
+        catalog.save_npz(catalog_path)
+        reloaded = SelectivityCatalog.load_npz(catalog_path)
 
         estimator_a = PathSelectivityEstimator.build(
             catalog, ordering="sum-based", bucket_count=12

@@ -212,12 +212,11 @@ def test_malformed_paths_raise_the_checked_parse_error(method, paths, error):
 
 @pytest.fixture()
 def sparse_server():
-    registry = SessionRegistry(
-        default_config=EngineConfig(max_length=3, bucket_count=8, storage="sparse")
-    )
-    registry.register(
-        "g", graph=zipf_labeled_graph(30, 100, 3, skew=1.0, seed=7, name="g")
-    )
+    # 16 labels, k=3: a 4,368-path domain, mostly zero, so the session
+    # ranks every batch on demand instead of through a position table.
+    registry = SessionRegistry(default_config=EngineConfig(max_length=3, bucket_count=8))
+    registry.register("g", graph=zipf_labeled_graph(400, 300, 16, skew=1.2, seed=5, name="g"))
+    assert registry.get("g").stats.extra.get("lazy_positions") is True
     server = make_server(registry, port=0, window_seconds=0.001)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -89,18 +89,3 @@ class TestRestrictAndPersistence:
         catalog = SelectivityCatalog.from_graph(triangle_graph, 2)
         with pytest.raises(PathError):
             catalog.restrict(3)
-
-    def test_json_round_trip(self, triangle_graph, tmp_path):
-        catalog = SelectivityCatalog.from_graph(triangle_graph, 2)
-        target = tmp_path / "catalog.json"
-        catalog.save(target)
-        loaded = SelectivityCatalog.load(target)
-        assert loaded.labels == catalog.labels
-        assert loaded.max_length == catalog.max_length
-        assert loaded.graph_name == catalog.graph_name
-        for path in catalog.paths():
-            assert loaded.selectivity(path) == catalog.selectivity(path)
-
-    def test_from_dict_validation(self):
-        with pytest.raises(PathError):
-            SelectivityCatalog.from_dict({"labels": ["a"]})

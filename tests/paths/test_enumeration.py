@@ -8,7 +8,6 @@ import pytest
 from repro.exceptions import PathError
 from repro.paths.enumeration import (
     compute_selectivity_nonzeros,
-    compute_selectivity_vector,
     domain_size,
     enumerate_label_paths,
 )
@@ -17,9 +16,11 @@ from repro.paths.label_path import LabelPath
 
 
 def selectivities(graph, max_length, labels=None):
-    """``LabelPath -> f`` over the whole domain, from the columnar builder."""
+    """``LabelPath -> f`` over the whole domain, from the nonzero builder."""
     alphabet = sorted(labels) if labels is not None else graph.labels()
-    vector = compute_selectivity_vector(graph, max_length, labels=labels)
+    indices, counts = compute_selectivity_nonzeros(graph, max_length, labels=labels)
+    vector = np.zeros(domain_size(len(alphabet), max_length), dtype=np.int64)
+    vector[indices] = counts
     return dict(zip(enumerate_label_paths(alphabet, max_length), vector.tolist()))
 
 
@@ -64,13 +65,21 @@ class TestComputeSelectivities:
             assert value == evaluator.selectivity(path), f"mismatch on {path}"
 
     def test_covers_whole_domain(self, triangle_graph):
-        assert compute_selectivity_vector(triangle_graph, 2).shape == (domain_size(3, 2),)
+        indices, _ = compute_selectivity_nonzeros(triangle_graph, 2)
+        assert 0 <= int(indices.min()) and int(indices.max()) < domain_size(3, 2)
+        assert len(selectivities(triangle_graph, 2)) == domain_size(3, 2)
 
     def test_prune_empty_drops_zero_subtrees(self, triangle_graph):
         # The sparse builder keeps exactly the nonzero paths of the full domain.
         indices, counts = compute_selectivity_nonzeros(triangle_graph, 3)
         assert bool(np.all(counts > 0))
-        full = compute_selectivity_vector(triangle_graph, 3)
+        evaluator = MatrixPathEvaluator(triangle_graph)
+        full = np.array(
+            [
+                evaluator.selectivity(path)
+                for path in enumerate_label_paths(triangle_graph.labels(), 3)
+            ]
+        )
         assert indices.tolist() == np.flatnonzero(full).tolist()
         assert counts.tolist() == full[indices].tolist()
 
@@ -90,7 +99,7 @@ class TestComputeSelectivities:
 
     def test_progress_callback_invoked(self, small_graph):
         calls: list[int] = []
-        compute_selectivity_vector(small_graph, 3, progress=calls.append)
+        compute_selectivity_nonzeros(small_graph, 3, progress=calls.append)
         # One call per label extension of the kernel; the running count is
         # monotonic and ends at the domain size (84 paths for 4 labels, k=3).
         assert calls == sorted(calls)
@@ -98,4 +107,4 @@ class TestComputeSelectivities:
 
     def test_invalid_max_length(self, triangle_graph):
         with pytest.raises(PathError):
-            compute_selectivity_vector(triangle_graph, 0)
+            compute_selectivity_nonzeros(triangle_graph, 0)

@@ -1,4 +1,4 @@
-"""Tests for incremental catalog updates (`update_selectivity_vector` /
+"""Tests for incremental catalog updates (`update_selectivity_nonzeros` /
 `SelectivityCatalog.apply_delta`): patched results must be byte-identical to
 cold rebuilds and to the per-path oracle, across graph shapes and delta
 mixes."""
@@ -20,8 +20,9 @@ from repro.graph.generators import (
 )
 from repro.paths.catalog import SelectivityCatalog
 from repro.paths.enumeration import (
-    compute_selectivity_vector,
-    update_selectivity_vector,
+    compute_selectivity_nonzeros,
+    domain_size,
+    update_selectivity_nonzeros,
 )
 
 
@@ -47,22 +48,32 @@ def random_delta(
     return GraphDelta(additions=sorted(added, key=repr), removals=removed)
 
 
+def as_vector(nonzeros, label_count: int, max_length: int) -> np.ndarray:
+    """A nonzero pair scattered over the canonical domain."""
+    indices, counts = nonzeros
+    vector = np.zeros(domain_size(label_count, max_length), dtype=np.int64)
+    vector[indices] = counts
+    return vector
+
+
 def assert_incremental_matches_cold(graph, delta, max_length, oracle_vector):
-    old_vector = compute_selectivity_vector(graph, max_length)
+    old = compute_selectivity_nonzeros(graph, max_length)
     updated = graph.copy()
     delta.apply(updated)
     alphabet = sorted(graph.labels())
-    cold = compute_selectivity_vector(updated, max_length, labels=alphabet)
-    patched = update_selectivity_vector(
-        updated, max_length, old_vector, delta, labels=alphabet
-    )
-    assert patched.dtype == np.int64
-    assert np.array_equal(cold, patched)
-    assert np.array_equal(oracle_vector(updated, max_length, labels=alphabet), patched)
-    return updated, old_vector, cold, patched
+    cold = compute_selectivity_nonzeros(updated, max_length, labels=alphabet)
+    patched = update_selectivity_nonzeros(updated, max_length, *old, delta, labels=alphabet)
+    assert patched[0].dtype == patched[1].dtype == np.int64
+    assert np.array_equal(cold[0], patched[0])
+    assert np.array_equal(cold[1], patched[1])
+    vectors = [as_vector(pair, len(alphabet), max_length) for pair in (old, cold, patched)]
+    assert np.array_equal(oracle_vector(updated, max_length, labels=alphabet), vectors[2])
+    return (updated, *vectors)
 
 
 class TestUpdateSelectivityVector:
+    """The delta kernel, checked over the whole domain laid out as a vector."""
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mixed_delta_on_random_graph(self, seed, oracle_vector):
         graph = zipf_labeled_graph(50, 300, 4, skew=0.8, seed=seed)
@@ -114,18 +125,23 @@ class TestUpdateSelectivityVector:
 
     def test_empty_delta_returns_writable_copy(self):
         graph = zipf_labeled_graph(20, 80, 3, seed=2)
-        old_vector = compute_selectivity_vector(graph, 2)
-        old_vector.setflags(write=False)
-        patched = update_selectivity_vector(graph, 2, old_vector, GraphDelta())
-        assert np.array_equal(patched, old_vector)
-        assert patched is not old_vector
-        patched[0] = 123  # must be writable
+        old_indices, old_counts = compute_selectivity_nonzeros(graph, 2)
+        old_indices.setflags(write=False)
+        old_counts.setflags(write=False)
+        indices, counts = update_selectivity_nonzeros(
+            graph, 2, old_indices, old_counts, GraphDelta()
+        )
+        assert np.array_equal(indices, old_indices)
+        assert np.array_equal(counts, old_counts)
+        assert indices is not old_indices and counts is not old_counts
+        indices[0] = 123  # must be writable
+        counts[0] = 123
 
     def test_patch_builds_only_the_matrices_it_reaches(self, monkeypatch):
         # On a schema-structured ring a one-label delta reaches a handful of
         # labels; the kernel must not build the other labels' matrices.
         graph = ring_labeled_graph(12, 20, 60, seed=4)
-        old_vector = compute_selectivity_vector(graph, 3)
+        old = compute_selectivity_nonzeros(graph, 3)
         delta = GraphDelta(removals=list(graph.edges_with_label("6"))[:3])
         delta.apply(graph)
         built: list[str] = []
@@ -136,30 +152,30 @@ class TestUpdateSelectivityVector:
             return edge_index_arrays(self, label)
 
         monkeypatch.setattr(LabeledDiGraph, "edge_index_arrays", recording)
-        patched = update_selectivity_vector(graph, 3, old_vector, delta)
+        patched = update_selectivity_nonzeros(graph, 3, *old, delta)
         assert 0 < len(built) < graph.label_count
         monkeypatch.undo()
-        assert np.array_equal(patched, compute_selectivity_vector(graph, 3))
+        cold = compute_selectivity_nonzeros(graph, 3)
+        assert np.array_equal(patched[0], cold[0])
+        assert np.array_equal(patched[1], cold[1])
 
     def test_affected_labels_outside_alphabet_raise(self):
         graph = zipf_labeled_graph(20, 80, 3, seed=2)
-        old_vector = compute_selectivity_vector(graph, 2)
+        old = compute_selectivity_nonzeros(graph, 2)
         with pytest.raises(PathError, match="outside the alphabet"):
-            update_selectivity_vector(
-                graph, 2, old_vector, GraphDelta(), affected=["nope"]
-            )
+            update_selectivity_nonzeros(graph, 2, *old, GraphDelta(), affected=["nope"])
 
     def test_wrong_vector_shape_raises(self):
         graph = zipf_labeled_graph(20, 80, 3, seed=2)
-        with pytest.raises(PathError, match="old vector has shape"):
-            update_selectivity_vector(
-                graph, 2, np.zeros(5, dtype=np.int64), GraphDelta()
+        with pytest.raises(PathError, match="must be aligned one-dimensional"):
+            update_selectivity_nonzeros(
+                graph, 2, np.zeros(5, dtype=np.int64), np.zeros(4, dtype=np.int64), GraphDelta()
             )
 
     def test_delta_label_outside_alphabet_raises(self):
         graph = zipf_labeled_graph(20, 80, 3, seed=2)
         alphabet = sorted(graph.labels())
-        old_vector = compute_selectivity_vector(graph, 2)
+        old = compute_selectivity_nonzeros(graph, 2)
         delta = GraphDelta(additions=[(0, "zz", 1)])
         updated = graph.copy()
         delta.apply(updated)
@@ -167,7 +183,7 @@ class TestUpdateSelectivityVector:
         # pinned alphabet: a genuine domain mismatch (the caller should have
         # taken the full-rebuild path).
         with pytest.raises(GraphError, match="outside the alphabet"):
-            update_selectivity_vector(updated, 2, old_vector, delta, labels=alphabet)
+            update_selectivity_nonzeros(updated, 2, *old, delta, labels=alphabet)
 
 
 class TestCatalogApplyDelta:
@@ -214,21 +230,6 @@ class TestCatalogApplyDelta:
             patched.frequency_vector(), cold.frequency_vector()
         )
 
-    def test_sparse_catalog_falls_back_to_full_rebuild(self):
-        graph = zipf_labeled_graph(30, 120, 3, seed=25)
-        sparse = SelectivityCatalog(
-            sorted(graph.labels()), 2, {"1": 5}  # pruned mapping -> sparse
-        )
-        assert not sparse.is_dense
-        delta = random_delta(graph, 26, additions=5, removals=5)
-        updated = graph.copy()
-        delta.apply(updated)
-        patched = sparse.apply_delta(updated, delta)
-        cold = SelectivityCatalog.from_graph(updated, 2)
-        assert np.array_equal(
-            patched.frequency_vector(), cold.frequency_vector()
-        )
-
     def test_updated_catalog_round_trips_npz(self, tmp_path):
         graph = ring_labeled_graph(6, 20, 80, seed=27)
         catalog = SelectivityCatalog.from_graph(graph, 3)
@@ -239,7 +240,7 @@ class TestCatalogApplyDelta:
         patched = catalog.apply_delta(updated, delta)
         path = tmp_path / "patched.npz"
         patched.save_npz(path)
-        loaded = SelectivityCatalog.load(path)
+        loaded = SelectivityCatalog.load_npz(path)
         assert np.array_equal(
             loaded.frequency_vector(), patched.frequency_vector()
         )

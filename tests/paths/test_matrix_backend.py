@@ -3,8 +3,8 @@
 The kernel (stacked frontiers, flushed at a fixed entry budget) must be
 byte-identical to a plain per-node trie walk everywhere: randomized graphs
 across generators and alphabet sizes, degenerate domains (single label,
-labels with no edges, zero subtrees), the dense columnar vector,
-delta-patched rebuilds, and the catalog plumbing around it — at the default
+labels with no edges, zero subtrees), the catalog's materialised frequency
+vector, delta-patched rebuilds, and the catalog plumbing around it — at the default
 flush budget and at a budget of one entry, which flushes after every part.
 """
 
@@ -27,10 +27,8 @@ from repro.graph.matrices import LabelMatrixStore, block_nonzero_counts
 from repro.paths.catalog import SelectivityCatalog
 from repro.paths.enumeration import (
     compute_selectivity_nonzeros,
-    compute_selectivity_vector,
     domain_size,
     update_selectivity_nonzeros,
-    update_selectivity_vector,
 )
 from repro.paths.index import path_to_domain_index
 
@@ -178,7 +176,8 @@ class TestMatrixVectorEquality:
     def test_matches_columnar_vector(self, make_graph, k):
         graph = make_graph()
         assert np.array_equal(
-            reference_vector(graph, k), compute_selectivity_vector(graph, k)
+            reference_vector(graph, k),
+            SelectivityCatalog.from_graph(graph, k).frequency_vector(),
         )
 
 
@@ -197,35 +196,37 @@ class TestMatrixDeltaRebuilds:
     def test_patched_vector_matches_cold_rebuild(self):
         graph = erdos_renyi_graph(100, 500, 5, seed=43)
         labels = sorted(graph.labels())
-        old = compute_selectivity_vector(graph, 4, labels=labels)
+        old = compute_selectivity_nonzeros(graph, 4, labels=labels)
         delta = random_delta(graph, seed=7)
         delta.apply(graph)
-        patched = update_selectivity_vector(graph, 4, old, delta, labels=labels)
-        assert np.array_equal(patched, reference_vector(graph, 4, labels=labels))
+        patched = update_selectivity_nonzeros(graph, 4, *old, delta, labels=labels)
+        vector = SelectivityCatalog(labels, 4, patched).frequency_vector()
+        assert np.array_equal(vector, reference_vector(graph, 4, labels=labels))
 
     def test_stale_entries_inside_affected_subtree_are_cleared(self):
         # A removal that zeroes previously nonzero paths exercises the
-        # scatter path's slice-zeroing (stale counts must not survive).
+        # splice's range dropping (stale counts must not survive).
         graph = LabeledDiGraph()
         graph.add_edge("a", "x", "b")
         graph.add_edge("b", "y", "c")
         labels = sorted(graph.labels())
-        old = compute_selectivity_vector(graph, 3, labels=labels)
+        old = compute_selectivity_nonzeros(graph, 3, labels=labels)
         delta = GraphDelta(removals=(("b", "y", "c"),))
         delta.apply(graph)
-        patched = update_selectivity_vector(graph, 3, old, delta, labels=labels)
-        assert np.array_equal(patched, reference_vector(graph, 3, labels=labels))
+        patched = update_selectivity_nonzeros(graph, 3, *old, delta, labels=labels)
+        assert_streams_identical(patched, reference_nonzeros(graph, 3, labels=labels))
+        assert patched[0].size < old[0].size
 
 
 class TestCatalogAndPlumbing:
     def test_catalog_from_graph_sparse_storage(self):
         graph = zipf_labeled_graph(200, 200, 8, skew=0.8, seed=53)
-        catalog = SelectivityCatalog.from_graph(graph, 4, storage="sparse")
+        catalog = SelectivityCatalog.from_graph(graph, 4)
         assert_streams_identical(reference_nonzeros(graph, 4), catalog.nonzero_arrays())
 
     def test_catalog_from_graph_dense_storage(self):
         graph = erdos_renyi_graph(80, 400, 4, seed=59)
-        catalog = SelectivityCatalog.from_graph(graph, 3, storage="dense")
+        catalog = SelectivityCatalog.from_graph(graph, 3)
         assert np.array_equal(reference_vector(graph, 3), catalog.frequency_vector())
 
 
@@ -249,7 +250,8 @@ class TestFlushBudget:
     def test_vector(self, make_graph, k):
         graph = make_graph()
         assert np.array_equal(
-            reference_vector(graph, k), compute_selectivity_vector(graph, k)
+            reference_vector(graph, k),
+            SelectivityCatalog.from_graph(graph, k).frequency_vector(),
         )
 
     def test_degenerate_domains(self):
@@ -270,15 +272,24 @@ class TestFlushBudget:
             reference_nonzeros(chain, 6), compute_selectivity_nonzeros(chain, 6)
         )
 
-    @pytest.mark.parametrize("storage", ["dense", "sparse"])
-    def test_patched_catalog_equals_cold_build(self, storage):
-        graph = zipf_labeled_graph(150, 200, 10, skew=0.8, seed=37)
-        catalog = SelectivityCatalog.from_graph(graph, 4, storage=storage)
+    @pytest.mark.parametrize(
+        "make_graph, density",
+        [
+            pytest.param(lambda: erdos_renyi_graph(60, 500, 3, seed=37), 0.9, id="dense"),
+            pytest.param(
+                lambda: zipf_labeled_graph(150, 200, 10, skew=0.8, seed=37), 0.01, id="sparse"
+            ),
+        ],
+    )
+    def test_patched_catalog_equals_cold_build(self, make_graph, density):
+        # A mostly-nonzero domain splices many entries, a mostly-zero one few.
+        graph = make_graph()
+        catalog = SelectivityCatalog.from_graph(graph, 4)
+        assert (catalog.density > 0.5) is (density > 0.5)
         delta = random_delta(graph, seed=3)
         delta.apply(graph)
         patched = catalog.apply_delta(graph, delta)
-        cold = SelectivityCatalog.from_graph(graph, 4, storage=storage)
-        assert patched.storage == cold.storage == storage
+        cold = SelectivityCatalog.from_graph(graph, 4)
         assert_streams_identical(patched.nonzero_arrays(), cold.nonzero_arrays())
         assert_streams_identical(patched.nonzero_arrays(), reference_nonzeros(graph, 4))
 

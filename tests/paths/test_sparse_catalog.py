@@ -1,11 +1,16 @@
-"""Sparse/dense storage equivalence of :class:`SelectivityCatalog`.
+"""Input-form equivalence of :class:`SelectivityCatalog`.
 
-Every test here pins the tentpole contract: the two storage modes are the
-same logical catalog — identical lookups, aggregates, persistence and delta
-patches — differing only in memory shape (O(nnz) vs O(|Lk|)).
+A catalog built from a dense frequency vector and one built by the nonzero
+builder are the same logical catalog — identical lookups, aggregates,
+persistence and delta patches — held in the one representation, the sorted
+nonzero pair.  The dense/sparse choice that remains is the consumers'
+layout predicate, :func:`~repro.histogram.builder.dense_layout`.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -13,11 +18,14 @@ import pytest
 from repro.exceptions import PathError
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import zipf_labeled_graph
-from repro.paths.catalog import (
-    SPARSE_AUTO_MIN_DOMAIN,
-    SelectivityCatalog,
-)
-from repro.paths.enumeration import compute_selectivity_vector
+from repro.histogram.builder import SPARSE_LAYOUT_MIN_DOMAIN, dense_layout
+from repro.paths.catalog import SelectivityCatalog
+from repro.paths.enumeration import compute_selectivity_nonzeros
+
+
+def cold_vector(graph, max_length):
+    """The nonzero builder's output scattered over the canonical domain."""
+    return SelectivityCatalog.from_graph(graph, max_length).frequency_vector()
 
 
 @pytest.fixture(scope="module")
@@ -28,16 +36,17 @@ def sparse_graph():
 
 @pytest.fixture(scope="module")
 def catalog_pair(sparse_graph):
-    dense = SelectivityCatalog.from_graph(sparse_graph, 4, storage="dense")
-    sparse = SelectivityCatalog.from_graph(sparse_graph, 4, storage="sparse")
+    """(built from the dense vector, built from the nonzero pair)."""
+    sparse = SelectivityCatalog.from_graph(sparse_graph, 4)
+    dense = SelectivityCatalog(
+        sparse.labels, 4, sparse.frequency_vector(), graph_name=sparse.graph_name
+    )
     return dense, sparse
 
 
 class TestStorageModes:
     def test_from_graph_modes_agree(self, catalog_pair):
         dense, sparse = catalog_pair
-        assert dense.storage == "dense"
-        assert sparse.storage == "sparse"
         assert np.array_equal(dense.frequency_vector(), sparse.frequency_vector())
         di, dv = dense.nonzero_arrays()
         si, sv = sparse.nonzero_arrays()
@@ -46,23 +55,29 @@ class TestStorageModes:
 
     def test_auto_resolves_sparse_for_large_sparse_domain(self, sparse_graph):
         auto = SelectivityCatalog.from_graph(sparse_graph, 4)
-        assert auto.domain_size >= SPARSE_AUTO_MIN_DOMAIN
-        assert auto.storage == "sparse"
+        assert auto.domain_size >= SPARSE_LAYOUT_MIN_DOMAIN
+        assert not dense_layout(auto.domain_size, auto.nnz)
 
     def test_auto_resolves_dense_for_small_domain(self, sparse_graph):
         auto = SelectivityCatalog.from_graph(sparse_graph, 2)
-        assert auto.domain_size < SPARSE_AUTO_MIN_DOMAIN
-        assert auto.storage == "dense"
+        assert auto.domain_size < SPARSE_LAYOUT_MIN_DOMAIN
+        assert dense_layout(auto.domain_size, auto.nnz)
 
     def test_auto_on_dense_vector_respects_density(self):
-        # |L|=2, k=12 -> domain 8190, above the auto threshold.
+        # |L|=2, k=12 -> domain 8190, above the domain threshold.
         domain = 2**13 - 2
-        assert domain >= SPARSE_AUTO_MIN_DOMAIN
+        assert domain >= SPARSE_LAYOUT_MIN_DOMAIN
         dense_vector = np.arange(1, domain + 1, dtype=np.int64)
-        assert SelectivityCatalog(["a", "b"], 12, dense_vector).storage == "dense"
+        dense = SelectivityCatalog(["a", "b"], 12, dense_vector)
+        assert dense_layout(dense.domain_size, dense.nnz)
         sparse_vector = np.zeros(domain, dtype=np.int64)
         sparse_vector[7] = 5
-        assert SelectivityCatalog(["a", "b"], 12, sparse_vector).storage == "sparse"
+        sparse = SelectivityCatalog(["a", "b"], 12, sparse_vector)
+        assert not dense_layout(sparse.domain_size, sparse.nnz)
+        # The boundary: exactly 25% nonzero is still sparse, one more is not.
+        assert not dense_layout(4096, 1024)
+        assert dense_layout(4096, 1025)
+        assert dense_layout(4095, 0)
 
     def test_point_and_batch_lookups_agree(self, catalog_pair):
         dense, sparse = catalog_pair
@@ -81,18 +96,16 @@ class TestStorageModes:
         assert len(sparse) == len(dense) == dense.domain_size
         assert sparse.nnz == dense.nnz
         assert sparse.density == dense.density
-        assert sparse.is_dense and dense.is_dense
 
     def test_memory_bytes_is_o_nnz(self, catalog_pair):
         dense, sparse = catalog_pair
-        assert sparse.memory_bytes() == 16 * sparse.nnz
-        assert dense.memory_bytes() == 8 * dense.domain_size
-        assert sparse.memory_bytes() < dense.memory_bytes() / 4
+        assert sparse.memory_bytes() == dense.memory_bytes() == 16 * sparse.nnz
+        assert sparse.memory_bytes() < 8 * dense.domain_size / 4
 
     def test_restrict_preserves_storage_and_values(self, catalog_pair):
         dense, sparse = catalog_pair
         restricted = sparse.restrict(2)
-        assert restricted.storage == "sparse"
+        assert restricted.domain_size == dense.restrict(2).domain_size
         assert np.array_equal(
             restricted.frequency_vector(), dense.restrict(2).frequency_vector()
         )
@@ -101,59 +114,26 @@ class TestStorageModes:
         dense, sparse = catalog_pair
         assert sparse.nonzero_paths() == dense.nonzero_paths()
 
-    def test_conversions_round_trip(self, catalog_pair):
-        dense, sparse = catalog_pair
-        assert sparse.to_sparse() is sparse
-        assert dense.to_dense() is dense
-        assert np.array_equal(
-            sparse.to_dense().frequency_vector(), dense.frequency_vector()
-        )
-        back = dense.to_sparse()
-        assert back.storage == "sparse"
-        assert np.array_equal(
-            back.nonzero_arrays()[0], sparse.nonzero_arrays()[0]
-        )
-
-    def test_explicit_mask_catalog_refuses_sparse_conversion(self):
-        pruned = SelectivityCatalog(["a", "b"], 2, {"a": 3})
-        assert not pruned.is_dense
-        with pytest.raises(PathError):
-            pruned.to_sparse()
-
 
 class TestSparseValidation:
     def test_rejects_unsorted_indices(self):
         with pytest.raises(PathError, match="strictly increasing"):
-            SelectivityCatalog(
-                ["a", "b"], 3, (np.array([5, 2]), np.array([1, 1])), storage="sparse"
-            )
+            SelectivityCatalog(["a", "b"], 3, (np.array([5, 2]), np.array([1, 1])))
 
     def test_rejects_duplicate_indices(self):
         with pytest.raises(PathError, match="strictly increasing"):
-            SelectivityCatalog(
-                ["a", "b"], 3, (np.array([2, 2]), np.array([1, 1])), storage="sparse"
-            )
+            SelectivityCatalog(["a", "b"], 3, (np.array([2, 2]), np.array([1, 1])))
 
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(PathError, match="out of range"):
-            SelectivityCatalog(
-                ["a", "b"], 2, (np.array([6]), np.array([1])), storage="sparse"
-            )
+            SelectivityCatalog(["a", "b"], 2, (np.array([6]), np.array([1])))
 
     def test_rejects_negative_values(self):
         with pytest.raises(PathError, match="negative selectivity"):
-            SelectivityCatalog(
-                ["a", "b"], 2, (np.array([1]), np.array([-4])), storage="sparse"
-            )
-
-    def test_rejects_unknown_storage_mode(self):
-        with pytest.raises(PathError, match="storage mode"):
-            SelectivityCatalog(["a"], 1, {"a": 1}, storage="columnar")
+            SelectivityCatalog(["a", "b"], 2, (np.array([1]), np.array([-4])))
 
     def test_explicit_zero_values_are_dropped(self):
-        catalog = SelectivityCatalog(
-            ["a", "b"], 2, (np.array([0, 3]), np.array([2, 0])), storage="sparse"
-        )
+        catalog = SelectivityCatalog(["a", "b"], 2, (np.array([0, 3]), np.array([2, 0])))
         assert catalog.nnz == 1
         assert catalog.selectivity("a") == 2
 
@@ -167,28 +147,17 @@ class TestMappingBranch:
         with pytest.raises(PathError, match="negative selectivity for a/b"):
             SelectivityCatalog(["a", "b"], 2, {"a": 1, "a/b": -3})
 
-    def test_mapping_defaults_to_dense_with_mask(self):
-        catalog = SelectivityCatalog(["a", "b"], 2, {"a": 3, "a/b": 0})
-        assert catalog.storage == "dense"
-        assert not catalog.is_dense
-        assert len(catalog) == 2
-
     def test_mapping_with_sparse_storage_covers_domain(self):
-        catalog = SelectivityCatalog(
-            ["a", "b"], 2, {"a": 3, "a/b": 0}, storage="sparse"
-        )
-        assert catalog.storage == "sparse"
-        assert catalog.is_dense
+        catalog = SelectivityCatalog(["a", "b"], 2, {"a": 3, "a/b": 0})
         assert len(catalog) == catalog.domain_size
+        assert "b/b" in catalog
         assert catalog.nnz == 1
         assert catalog.selectivity("a/b") == 0
 
     def test_full_mapping_sparse_matches_dense(self, catalog_pair):
         dense, _ = catalog_pair
         mapping = {str(path): value for path, value in dense.items()}
-        rebuilt = SelectivityCatalog(
-            dense.labels, dense.max_length, mapping, storage="sparse"
-        )
+        rebuilt = SelectivityCatalog(dense.labels, dense.max_length, mapping)
         assert np.array_equal(rebuilt.frequency_vector(), dense.frequency_vector())
 
 
@@ -198,32 +167,38 @@ class TestPersistence:
         for catalog, name in ((dense, "dense"), (sparse, "sparse")):
             target = tmp_path / f"{name}.npz"
             catalog.save_npz(target)
-            loaded = SelectivityCatalog.load(target)
-            assert loaded.storage == catalog.storage
+            loaded = SelectivityCatalog.load_npz(target)
             assert np.array_equal(
                 loaded.frequency_vector(), catalog.frequency_vector()
             )
             assert loaded.graph_name == catalog.graph_name
 
     def test_sparse_npz_stores_only_nonzero_arrays(self, catalog_pair, tmp_path):
-        # The on-disk layout must be O(nnz) too: no dense frequencies member.
-        # (The *size* advantage only materialises at large domains — deflate
-        # compresses runs of zeros extremely well — and is enforced by the
-        # benchmark floor on the 64M-entry graph, not here.)
+        # The on-disk layout is O(nnz): gap-encoded indices plus counts.
         _, sparse = catalog_pair
         target = tmp_path / "s.npz"
         sparse.save_npz(target)
         with np.load(target, allow_pickle=False) as archive:
-            assert "nz_indices" in archive.files
-            assert "nz_values" in archive.files
-            assert "frequencies" not in archive.files
-            assert archive["nz_indices"].size == sparse.nnz
+            assert sorted(archive.files) == [
+                "format_version",
+                "graph_name",
+                "labels",
+                "max_length",
+                "nz_gaps",
+                "nz_values",
+            ]
+            assert int(archive["format_version"]) == 3
+            gaps = archive["nz_gaps"]
+            assert gaps.size == sparse.nnz
+            assert bool(np.all(gaps > 0))
+            assert np.array_equal(np.cumsum(gaps) - 1, sparse.nonzero_arrays()[0])
 
-    def test_legacy_v1_archive_still_loads(self, catalog_pair, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_format_versions_are_refused(self, catalog_pair, tmp_path, version):
         dense, _ = catalog_pair
-        target = tmp_path / "v1.npz"
+        target = tmp_path / f"v{version}.npz"
         arrays = {
-            "format_version": np.asarray(1, dtype=np.int64),
+            "format_version": np.asarray(version, dtype=np.int64),
             "labels": np.asarray(dense.labels, dtype=np.str_),
             "max_length": np.asarray(dense.max_length, dtype=np.int64),
             "graph_name": np.asarray(dense.graph_name, dtype=np.str_),
@@ -231,13 +206,29 @@ class TestPersistence:
         }
         with open(target, "wb") as handle:
             np.savez_compressed(handle, **arrays)
-        loaded = SelectivityCatalog.load(target)
-        assert loaded.storage == "dense"
-        assert np.array_equal(loaded.frequency_vector(), dense.frequency_vector())
+        with pytest.raises(PathError, match=f"format version {version}"):
+            SelectivityCatalog.load_npz(target)
 
-    def test_json_document_identical_across_modes(self, catalog_pair):
-        dense, sparse = catalog_pair
-        assert dense.to_dict() == sparse.to_dict()
+    def test_pickle_and_deepcopy_round_trip(self, catalog_pair):
+        _, sparse = catalog_pair
+        for copied in (pickle.loads(pickle.dumps(sparse)), copy.deepcopy(sparse)):
+            assert copied.labels == sparse.labels
+            assert np.array_equal(copied.nonzero_arrays()[0], sparse.nonzero_arrays()[0])
+            path = sparse.nonzero_paths()[3]
+            assert copied.selectivity(path) == sparse.selectivity(path)
+
+    def test_corrupt_gap_raises(self, catalog_pair, tmp_path):
+        _, sparse = catalog_pair
+        target = tmp_path / "bad.npz"
+        sparse.save_npz(target)
+        with np.load(target, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["nz_gaps"] = arrays["nz_gaps"].copy()
+        arrays["nz_gaps"][3] = 0  # a repeated index
+        with open(target, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        with pytest.raises(PathError, match="strictly increasing"):
+            SelectivityCatalog.load_npz(target)
 
 
 class TestSparseDelta:
@@ -257,9 +248,9 @@ class TestSparseDelta:
 
         patched_sparse = sparse.apply_delta(updated, delta)
         patched_dense = dense.apply_delta(updated, delta)
-        cold = compute_selectivity_vector(updated, 4)
-        assert patched_sparse.storage == "sparse"
-        assert patched_dense.storage == "dense"
+        cold_indices, _ = compute_selectivity_nonzeros(updated, 4)
+        assert np.array_equal(patched_sparse.nonzero_arrays()[0], cold_indices)
+        cold = cold_vector(updated, 4)
         assert np.array_equal(patched_sparse.frequency_vector(), cold)
         assert np.array_equal(patched_dense.frequency_vector(), cold)
         assert not sparse.delta_requires_full_rebuild(updated)
@@ -271,11 +262,8 @@ class TestSparseDelta:
         delta.apply(updated)
         assert sparse.delta_requires_full_rebuild(updated)
         rebuilt = sparse.apply_delta(updated, delta)
-        assert rebuilt.storage == "sparse"
-        assert np.array_equal(
-            rebuilt.frequency_vector(),
-            compute_selectivity_vector(updated, 4),
-        )
+        assert rebuilt.labels == tuple(sorted(updated.labels()))
+        assert np.array_equal(rebuilt.frequency_vector(), cold_vector(updated, 4))
 
 
 class TestEdgeCases:
@@ -284,13 +272,9 @@ class TestEdgeCases:
         # subtree is zero and must simply be absent from the sparse arrays.
         graph = zipf_labeled_graph(40, 60, 3, skew=0.6, seed=5)
         labels = sorted(graph.labels()) + ["unused"]
-        dense = SelectivityCatalog.from_graph(
-            graph, 3, labels=labels, storage="dense"
-        )
-        sparse = SelectivityCatalog.from_graph(
-            graph, 3, labels=labels, storage="sparse"
-        )
-        assert np.array_equal(dense.frequency_vector(), sparse.frequency_vector())
+        sparse = SelectivityCatalog.from_graph(graph, 3, labels=labels)
+        assert sparse.nnz > 0
+        assert all("unused" not in path.labels for path in sparse.nonzero_paths())
         assert sparse.selectivity("unused") == 0
         assert sparse.selectivity("unused/unused") == 0
 
@@ -299,7 +283,6 @@ class TestEdgeCases:
             ["a", "b"],
             3,
             (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
-            storage="sparse",
         )
         assert empty.nnz == 0
         assert empty.total_selectivity() == 0
@@ -311,9 +294,7 @@ class TestEdgeCases:
         assert empty.nonzero_paths() == []
 
     def test_single_nonzero_catalog(self):
-        one = SelectivityCatalog(
-            ["a", "b"], 3, (np.array([5]), np.array([7])), storage="sparse"
-        )
+        one = SelectivityCatalog(["a", "b"], 3, (np.array([5]), np.array([7])))
         assert one.nnz == 1
         assert [str(path) for path in one.nonzero_paths()] == ["b/b"]
         assert one.selectivity("b/b") == 7

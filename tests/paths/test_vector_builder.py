@@ -1,4 +1,5 @@
-"""Tests for the columnar selectivity builder (:func:`compute_selectivity_vector`)."""
+"""Tests for the catalog builder (:func:`compute_selectivity_nonzeros`) against
+per-path evaluation, laid out over the whole canonical domain."""
 
 from __future__ import annotations
 
@@ -10,10 +11,20 @@ from repro.graph.generators import zipf_labeled_graph
 from repro.graph.matrices import LabelMatrixStore
 from repro.paths.catalog import SelectivityCatalog
 from repro.paths.enumeration import (
-    compute_selectivity_vector,
+    compute_selectivity_nonzeros,
     domain_size,
     enumerate_label_paths,
 )
+
+
+def nonzeros_as_vector(graph: LabeledDiGraph, max_length: int, **kwargs) -> np.ndarray:
+    """The builder's nonzero pair scattered over the canonical domain."""
+    indices, counts = compute_selectivity_nonzeros(graph, max_length, **kwargs)
+    assert indices.dtype == counts.dtype == np.int64
+    assert np.all(counts > 0)
+    vector = np.zeros(domain_size(graph.label_count, max_length), dtype=np.int64)
+    vector[indices] = counts
+    return vector
 
 
 def reference_vector(graph: LabeledDiGraph, max_length: int) -> np.ndarray:
@@ -34,11 +45,11 @@ def reference_vector(graph: LabeledDiGraph, max_length: int) -> np.ndarray:
 
 class TestVectorMatchesDictBuilder:
     def test_triangle(self, triangle_graph):
-        vector = compute_selectivity_vector(triangle_graph, 3)
+        vector = nonzeros_as_vector(triangle_graph, 3)
         assert np.array_equal(vector, reference_vector(triangle_graph, 3))
 
     def test_small_graph(self, small_graph):
-        vector = compute_selectivity_vector(small_graph, 3)
+        vector = nonzeros_as_vector(small_graph, 3)
         assert vector.dtype == np.int64
         assert vector.shape == (domain_size(4, 3),)
         assert np.array_equal(vector, reference_vector(small_graph, 3))
@@ -57,7 +68,7 @@ class TestZeroSubtreeSliceFill:
 
     def test_matches_brute_force_path_selectivity(self, chain_graph):
         store = LabelMatrixStore(chain_graph)
-        vector = compute_selectivity_vector(chain_graph, 4, store=store)
+        vector = nonzeros_as_vector(chain_graph, 4, store=store)
         for index, path in enumerate(
             enumerate_label_paths(chain_graph.labels(), 4)
         ):
@@ -65,7 +76,7 @@ class TestZeroSubtreeSliceFill:
 
     def test_zero_subtrees_account_progress(self, chain_graph):
         seen: list[int] = []
-        compute_selectivity_vector(chain_graph, 6, progress=seen.append)
+        nonzeros_as_vector(chain_graph, 6, progress=seen.append)
         assert seen, "progress never fired on a zero-dominated domain"
         assert max(seen) == domain_size(2, 6)
 
@@ -74,7 +85,7 @@ class TestProgress:
     def test_progress_is_monotonic_and_ends_at_domain_size(self):
         graph = zipf_labeled_graph(30, 150, 10, skew=1.0, seed=5, name="progress")
         seen: list[int] = []
-        compute_selectivity_vector(graph, 4, progress=seen.append)
+        nonzeros_as_vector(graph, 4, progress=seen.append)
         assert seen == sorted(seen)
         assert seen[-1] == domain_size(graph.label_count, 4)
 

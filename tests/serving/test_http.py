@@ -75,6 +75,17 @@ class TestRoundTrip:
         client.warm("g")
         rows = client.graphs()
         assert rows[0]["name"] == "g" and rows[0]["built"] is True
+        assert set(rows[0]) == {
+            "name",
+            "built",
+            "max_length",
+            "ordering",
+            "bucket_count",
+            "domain_size",
+            "memory_bytes",
+            "circuit",
+            "consecutive_build_failures",
+        }
         assert client.evict("g") is True
         assert client.evict("g") is False
         rows = client.graphs()

@@ -35,7 +35,7 @@ class TestCommands:
 
     def test_generate_catalog_estimate_round_trip(self, tmp_path, capsys):
         graph_path = tmp_path / "graph.tsv"
-        catalog_path = tmp_path / "catalog.json"
+        catalog_path = tmp_path / "catalog.npz"
         assert main(["generate", "moreno-health", "--scale", "0.02", "-o", str(graph_path)]) == 0
         assert graph_path.exists()
         assert main(["catalog", str(graph_path), "-k", "2", "-o", str(catalog_path)]) == 0
@@ -56,6 +56,19 @@ class TestCommands:
         )
         output = capsys.readouterr().out
         assert "estimate" in output and "true" in output
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "g.tsv", "-k", "2", "-o", "catalog.json"],
+            ["estimate", "catalog.json", "1/2"],
+        ],
+    )
+    def test_catalog_files_must_be_npz(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert ".npz" in capsys.readouterr().err
 
     def test_experiment_ordering_example(self, capsys):
         assert main(["experiment", "ordering-example"]) == 0
@@ -263,17 +276,10 @@ class TestSharedEngineFlagBlock:
             assert args.ordering == "sum-based"
             assert args.buckets == 64
             assert args.histogram == "v-optimal"
-            assert args.storage == "auto"
 
     def test_catalog_carries_construction_flags_only(self):
-        args = build_parser().parse_args(
-            [
-                "catalog", "g.tsv", "-o", "c.npz",
-                "-k", "4", "--storage", "sparse",
-            ]
-        )
+        args = build_parser().parse_args(["catalog", "g.tsv", "-o", "c.npz", "-k", "4"])
         assert args.max_length == 4
-        assert args.storage == "sparse"
         assert not hasattr(args, "ordering")
         assert not hasattr(args, "buckets")
 
@@ -285,11 +291,15 @@ class TestSharedEngineFlagBlock:
             ["engine", "build", "g.tsv", "--workers", "2"],
             ["serve", "--graph", "g=g.tsv", "--build-workers", "2"],
             ["serve", "--graph", "g=g.tsv", "--backend", "serial"],
+            ["catalog", "g.tsv", "-o", "c.npz", "--storage", "sparse"],
+            ["engine", "build", "g.tsv", "--storage", "dense"],
+            ["serve", "--graph", "g=g.tsv", "--storage", "auto"],
         ],
     )
     def test_catalog_builder_takes_no_backend_or_worker_flags(self, argv, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_rejects_zero_workers(self, capsys):
@@ -304,14 +314,12 @@ class TestSharedEngineFlagBlock:
                 "engine", "build", "g.tsv",
                 "-k", "5", "--ordering", "sum-based",
                 "--histogram", "equi-width", "--buckets", "16",
-                "--storage", "sparse",
             ]
         )
         config = EngineConfig.from_args(args)
         assert config.max_length == 5
         assert config.histogram_kind == "equi-width"
         assert config.bucket_count == 16
-        assert config.storage == "sparse"
 
     def test_from_args_overrides_win(self):
         from repro.engine import EngineConfig
