@@ -68,18 +68,14 @@ if str(REPO_ROOT / "src") not in sys.path:
 if str(BENCH_DIR) not in sys.path:
     sys.path.insert(0, str(BENCH_DIR))
 
-# The serve-RSS measurement shares its workload spec and ceiling with the
-# smoke script, so the recorded build/artifact numbers and the measured RSS
-# always describe the same graph.
-import sparse_smoke  # noqa: E402
-
-# The chaos section runs the fault-injection scenario in-process and shares
-# its availability/fast-fail floors with the standalone CI chaos job.
-import chaos_smoke  # noqa: E402
-
-# The obs section runs the observability scenario in-process (metrics,
-# traces, readiness) and adds the instrumentation-overhead floor on top.
-import obs_smoke  # noqa: E402
+# The smoke harness: the serve-RSS measurement shares the sparse scenario's
+# workload spec and ceiling, so the recorded build/artifact numbers and the
+# measured RSS always describe the same graph; the chaos section runs the
+# fault-injection scenario in-process and shares its availability/fast-fail
+# floors with the CI chaos scenario; the obs section runs the observability
+# scenario in-process (metrics, traces, readiness) and adds the
+# instrumentation-overhead floor on top.
+import smoke  # noqa: E402
 
 # The load section drives the real ``repro serve`` CLI over keep-alive
 # connections, once single-process and once pre-forked, and shares its
@@ -124,11 +120,11 @@ DELTA_SUBTREE_FRACTION = 0.10
 DELTA_EDGES = 100
 
 #: Peak-RSS ceiling for serving the 67M-domain graph through ``repro
-#: serve`` — shared with benchmarks/sparse_smoke.py, which measures it in a
+#: serve`` — shared with the sparse smoke scenario, which measures it in a
 #: subprocess and enforces the same bound itself.
-SPARSE_SERVE_RSS_CEILING_BYTES = sparse_smoke.RSS_CEILING_BYTES
+SPARSE_SERVE_RSS_CEILING_BYTES = smoke.SPARSE_RSS_CEILING_BYTES
 
-#: Inner timeout for the sparse_smoke subprocess.  Deliberately below the
+#: Inner timeout for the sparse smoke subprocess.  Deliberately below the
 #: CI step wrappers so a wedged smoke still surfaces as a one-line floor
 #: failure from run_all rather than an opaque outer SIGTERM.
 SPARSE_SMOKE_TIMEOUT_SECONDS = 240
@@ -136,8 +132,8 @@ SPARSE_SMOKE_TIMEOUT_SECONDS = 240
 #: Availability floor for the chaos scenario (fraction of requests that get
 #: a clean answer while faults are being injected) and the ceiling for
 #: answering a request against an open circuit — shared with the smoke.
-CHAOS_AVAILABILITY_FLOOR = chaos_smoke.AVAILABILITY_FLOOR
-CHAOS_FAST_FAIL_CEILING_SECONDS = chaos_smoke.FAST_FAIL_CEILING_SECONDS
+CHAOS_AVAILABILITY_FLOOR = smoke.CHAOS_AVAILABILITY_FLOOR
+CHAOS_FAST_FAIL_CEILING_SECONDS = smoke.CHAOS_FAST_FAIL_CEILING_SECONDS
 
 #: Floors for the remote artifact tier — a fresh replica must warm-start
 #: this much faster than rebuilding, builds must survive a dead/corrupting
@@ -756,7 +752,7 @@ def measure_sparse(quick: bool) -> dict[str, object]:
       same layout's ``toarray()``.  Checked on the committed |L|=10, k=6
       benchmark graph (1,111,110-path domain) where the dense array is
       still cheap.
-    * **Serving RSS** — ``benchmarks/sparse_smoke.py`` serves the 67M
+    * **Serving RSS** — ``benchmarks/smoke.py sparse`` serves the 67M
       domain through the real ``repro serve`` CLI in a subprocess; its
       peak RSS must stay under ``SPARSE_SERVE_RSS_CEILING_BYTES``.
 
@@ -772,7 +768,7 @@ def measure_sparse(quick: bool) -> dict[str, object]:
     from repro.paths.catalog import SelectivityCatalog
 
     # --- cold build (|L|=20, k=6: a 67M-path domain) ----------------------
-    spec = sparse_smoke.GRAPH_SPEC
+    spec = smoke.SPARSE_GRAPH_SPEC
     graph = zipf_labeled_graph(
         spec["vertices"],
         spec["edges"],
@@ -781,7 +777,7 @@ def measure_sparse(quick: bool) -> dict[str, object]:
         seed=spec["seed"],
         name="bench-sparse-20",
     )
-    k = sparse_smoke.MAX_LENGTH
+    k = smoke.SPARSE_MAX_LENGTH
     started = time.perf_counter()
     catalog = SelectivityCatalog.from_graph(graph, k)
     build_seconds = time.perf_counter() - started
@@ -816,8 +812,8 @@ def measure_sparse(quick: bool) -> dict[str, object]:
         ":" + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     try:
-        smoke = subprocess.run(
-            [sys.executable, str(BENCH_DIR / "sparse_smoke.py"), "--json"],
+        sparse_run = subprocess.run(
+            [sys.executable, str(BENCH_DIR / "smoke.py"), "sparse", "--json", "-"],
             env=env,
             cwd=REPO_ROOT,
             capture_output=True,
@@ -826,19 +822,19 @@ def measure_sparse(quick: bool) -> dict[str, object]:
         )
     except subprocess.TimeoutExpired as exc:
         raise FloorFailure(
-            f"sparse_smoke.py wedged (> {SPARSE_SMOKE_TIMEOUT_SECONDS}s)"
+            f"smoke.py sparse wedged (> {SPARSE_SMOKE_TIMEOUT_SECONDS}s)"
         ) from exc
     serve: dict[str, object] = {}
-    if smoke.returncode == 0:
-        for line in reversed(smoke.stdout.strip().splitlines()):
+    if sparse_run.returncode == 0:
+        for line in reversed(sparse_run.stdout.strip().splitlines()):
             line = line.strip()
             if line.startswith("{"):
                 serve = json.loads(line)
                 break
     if not serve:
         raise FloorFailure(
-            "sparse_smoke.py failed: "
-            + (smoke.stderr.strip().splitlines() or ["no output"])[-1]
+            "smoke.py sparse failed: "
+            + (sparse_run.stderr.strip().splitlines() or ["no output"])[-1]
         )
 
     return {
@@ -868,7 +864,7 @@ def measure_sparse(quick: bool) -> dict[str, object]:
 
 
 def measure_chaos(quick: bool) -> dict[str, object]:
-    """The fault-injection scenario (see ``benchmarks/chaos_smoke.py``).
+    """The fault-injection scenario (``benchmarks/smoke.py chaos``).
 
     Runs in-process: injected worker crashes, on-disk artifact corruption,
     a doomed graph tripping its circuit breaker, and a backpressure burst
@@ -876,8 +872,8 @@ def measure_chaos(quick: bool) -> dict[str, object]:
     total requests under chaos) is floor-gated, as are the recovery
     booleans and the open-circuit fast-fail latency.
     """
-    report = chaos_smoke.run_scenario(quick=quick)
-    for failure in chaos_smoke.collect_failures(report):
+    report = smoke.run_chaos(quick=quick)
+    for failure in smoke.chaos_failures(report):
         raise FloorFailure(failure)
     return report
 
@@ -885,7 +881,7 @@ def measure_chaos(quick: bool) -> dict[str, object]:
 def measure_obs(quick: bool) -> dict[str, object]:
     """The observability scenario plus the instrumentation-overhead floor.
 
-    First runs ``benchmarks/obs_smoke.py`` in-process (Prometheus scrape
+    First runs ``benchmarks/smoke.py obs`` in-process (Prometheus scrape
     coverage, trace retention, readiness transitions — every expectation is
     a hard gate).  Then measures what the instrumentation *costs* where it
     is actually paid: ``/estimate`` requests through the HTTP server, timed
@@ -913,8 +909,8 @@ def measure_obs(quick: bool) -> dict[str, object]:
     from repro.paths.enumeration import enumerate_label_paths
     from repro.serving import ServiceClient, SessionRegistry, make_server
 
-    report = obs_smoke.run_scenario(quick=quick)
-    for failure in obs_smoke.collect_failures(report):
+    report = smoke.run_obs(quick=quick)
+    for failure in smoke.obs_failures(report):
         raise FloorFailure(failure)
 
     iterations = 6 if quick else 10
@@ -1252,12 +1248,12 @@ def collect_floor_failures(document: dict) -> list[str]:
     if chaos is None:
         failures.append("chaos section missing from the benchmark document")
     else:
-        failures.extend(chaos_smoke.collect_failures(chaos))
+        failures.extend(smoke.chaos_failures(chaos))
     obs = document.get("obs")
     if obs is None:
         failures.append("obs section missing from the benchmark document")
     else:
-        failures.extend(obs_smoke.collect_failures(obs))
+        failures.extend(smoke.obs_failures(obs))
         ratio = obs.get("overhead_ratio")
         ratio_floor = obs.get("overhead_ratio_floor", OBS_OVERHEAD_RATIO_FLOOR)
         if ratio is not None and ratio < ratio_floor:

@@ -1,10 +1,11 @@
-"""Example: the concurrent estimation service.
+"""Example: the concurrent estimation service over HTTP.
 
-Registers two graphs with a :class:`~repro.serving.SessionRegistry`, serves
-them through the asyncio :class:`~repro.serving.EstimationService` (watching
-requests coalesce into shared batches), then stands up the HTTP endpoint and
-drives it with the stdlib :class:`~repro.serving.ServiceClient` — the same
-round trip as ``repro serve`` / ``repro client``, in one process.
+Registers two graphs with a :class:`~repro.serving.SessionRegistry`, stands
+up the HTTP endpoint and drives it with the stdlib
+:class:`~repro.serving.ServiceClient` — the same round trip as
+``repro serve`` / ``repro client``, in one process.  Concurrent clients'
+point estimates coalesce into shared ``estimate_batch`` calls in the
+scheduler, which the ``/v1/stats`` counters show.
 
 Run with::
 
@@ -13,53 +14,18 @@ Run with::
 
 from __future__ import annotations
 
-import asyncio
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.datasets.registry import load_dataset
 from repro.engine import EngineConfig
 from repro.graph.generators import zipf_labeled_graph
-from repro.serving import (
-    EstimationService,
-    ServiceClient,
-    SessionRegistry,
-    make_server,
-)
-
-
-async def async_demo(registry: SessionRegistry) -> None:
-    print("== asyncio front-end ==")
-    async with EstimationService(registry, window_seconds=0.005) as service:
-        # Sessions build lazily; warm() forces the build off-loop.
-        build = await service.warm("moreno")
-        print(f"moreno built: domain={build.domain_size} "
-              f"catalog_from_cache={build.catalog_from_cache}")
-
-        # Concurrent point estimates coalesce into one estimate_batch call.
-        paths = ["1/2/3", "2/2", "1", "3/1/2", "2/1"]
-        estimates = await asyncio.gather(
-            *[service.estimate("moreno", path) for path in paths]
-        )
-        for path, estimate in zip(paths, estimates):
-            print(f"  e({path}) = {estimate:.2f}")
-
-        # A second graph shares the same scheduler and registry budgets.
-        bundle = await service.estimate_many("zipf", ["1/2", "2", "3"])
-        print(f"zipf bundle -> {[round(value, 2) for value in bundle]}")
-
-        stats = service.stats()
-        scheduler = stats["scheduler"]
-        print(
-            f"scheduler: {scheduler['requests_total']} requests in "
-            f"{scheduler['batches_total']} batches "
-            f"(mean coalesced {scheduler['mean_coalesced_requests']:.1f} "
-            f"requests/batch)"
-        )
+from repro.serving import ServiceClient, SessionRegistry, make_server
 
 
 def http_demo(registry: SessionRegistry) -> None:
-    print("\n== HTTP endpoint (the 'repro serve' surface) ==")
+    print("== HTTP endpoint (the 'repro serve' surface) ==")
     server = make_server(registry, port=0, window_seconds=0.005)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -67,8 +33,27 @@ def http_demo(registry: SessionRegistry) -> None:
         host, port = server.server_address[:2]
         client = ServiceClient(f"http://{host}:{port}")
         print(f"healthz -> {client.healthz()}")
-        estimates = client.estimate("moreno", ["1/2/3", "2/2"])
-        print(f"POST /estimate -> {[round(value, 2) for value in estimates]}")
+        build = client.warm("moreno")
+        print(f"moreno built: domain={build['domain_size']}")
+
+        # Concurrent point estimates coalesce into one estimate_batch call.
+        paths = ["1/2/3", "2/2", "1", "3/1/2", "2/1"]
+        with ThreadPoolExecutor(max_workers=len(paths)) as pool:
+            estimates = list(pool.map(lambda path: client.estimate("moreno", [path])[0], paths))
+        for path, estimate in zip(paths, estimates):
+            print(f"  e({path}) = {estimate:.2f}")
+
+        # A second graph shares the same scheduler and registry budgets.
+        bundle = client.estimate("zipf", ["1/2", "2", "3"])
+        print(f"zipf bundle -> {[round(value, 2) for value in bundle]}")
+
+        scheduler = client.stats()["scheduler"]
+        print(
+            f"scheduler: {scheduler['requests_total']} requests in "
+            f"{scheduler['batches_total']} batches "
+            f"(mean coalesced {scheduler['mean_coalesced_requests']:.1f} "
+            f"requests/batch)"
+        )
         for row in client.graphs():
             print(f"  graph {row['name']}: built={row['built']} "
                   f"domain={row.get('domain_size', '-')}")
@@ -90,7 +75,6 @@ def main() -> None:
         registry.register(
             "zipf", graph=zipf_labeled_graph(60, 240, 4, skew=1.0, seed=9, name="zipf")
         )
-        asyncio.run(async_demo(registry))
         http_demo(registry)
 
 

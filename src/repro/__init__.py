@@ -12,43 +12,41 @@ into focused subpackages:
 * :mod:`repro.optimizer` — a path-query planner consuming the estimates;
 * :mod:`repro.engine` — the batched estimation engine with artifact caching;
 * :mod:`repro.serving` — the concurrent estimation service (session
-  registry, micro-batching scheduler, asyncio + HTTP front-ends);
+  registry, micro-batching scheduler, HTTP server and client);
 * :mod:`repro.datasets` — Table 3 dataset stand-ins;
-* :mod:`repro.experiments` — the per-table/per-figure harnesses;
-* :mod:`repro.core` — the curated "paper surface" re-exports.
+* :mod:`repro.experiments` — the per-table/per-figure harnesses.
 
-The most common entry points are re-exported here for convenience.
+The paper surface — graph to catalog to ordering to histogram to
+estimate — and the engine are re-exported here.  The serving stack is not:
+import it from :mod:`repro.serving`, so that library users and the
+non-serving CLI commands do not load the HTTP machinery.
 """
 
-from repro.core import (
-    HISTOGRAM_KINDS,
-    PAPER_ORDERINGS,
-    AlphabeticalRanking,
-    CardinalityRanking,
-    Edge,
-    ExactOracle,
-    LabelPath,
-    LabelPathHistogram,
-    LabeledDiGraph,
-    Ordering,
-    PathSelectivityEstimator,
-    SelectivityCatalog,
-    SumBasedOrdering,
-    VOptimalHistogram,
-    available_orderings,
-    build_histogram,
-    domain_frequencies,
-    error_rate,
-    make_ordering,
-    make_paper_orderings,
-    mean_error_rate,
-    q_error,
-    run_sweep,
-)
 from repro.engine import ArtifactCache, EngineConfig, EstimationSession
+from repro.estimation.errors import error_rate, mean_error_rate, q_error
+from repro.estimation.estimator import ExactOracle, PathSelectivityEstimator
+from repro.estimation.evaluation import run_sweep
 from repro.exceptions import ReproError
 from repro.graph.delta import GraphDelta
-from repro.serving import EstimationService, ServiceClient, SessionRegistry
+from repro.graph.digraph import Edge, LabeledDiGraph
+from repro.histogram.builder import (
+    HISTOGRAM_KINDS,
+    LabelPathHistogram,
+    build_histogram,
+    domain_frequencies,
+)
+from repro.histogram.vopt import VOptimalHistogram
+from repro.ordering.base import Ordering
+from repro.ordering.ranking import AlphabeticalRanking, CardinalityRanking
+from repro.ordering.registry import (
+    PAPER_ORDERINGS,
+    available_orderings,
+    make_ordering,
+    make_paper_orderings,
+)
+from repro.ordering.sum_based import SumBasedOrdering
+from repro.paths.catalog import SelectivityCatalog
+from repro.paths.label_path import LabelPath
 
 __version__ = "1.0.0"
 

@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--warm", action="store_true", help="build every registered graph before serving"
     )
-    serve.add_argument("--verbose", action="store_true", help="log HTTP requests")
     serve.add_argument(
         "--log-json",
         action="store_true",
@@ -305,9 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256 * 2**20,
         help="PUT body size cap; larger uploads get HTTP 413",
-    )
-    artifact_server.add_argument(
-        "--verbose", action="store_true", help="log HTTP requests"
     )
 
     client = subparsers.add_parser(
@@ -601,7 +597,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             max_pending=args.max_pending,
             max_pending_per_graph=args.max_pending_per_graph,
             max_body_bytes=args.max_body_bytes,
-            verbose=args.verbose,
             inherited_socket=inherited_socket,
         )
 
@@ -719,7 +714,6 @@ def _run_artifact_server(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_body_bytes=args.max_body_bytes,
-        verbose=args.verbose,
     )
     host, port = server.server_address[:2]
     print(f"serving artifacts from {args.dir} on http://{host}:{port}", flush=True)

@@ -21,7 +21,8 @@ must never become a request failure — so every operation degrades:
   — quarantined exactly like local corruption, never loaded;
 * **single-flight fetches**: concurrent requests for one artifact share
   one download; the losers adopt the winner's file;
-* **a per-remote circuit breaker**: after ``breaker_threshold``
+* **a per-remote circuit breaker** (the shared
+  :class:`~repro.retry.CircuitBreaker`): after ``breaker_threshold``
   consecutive transport/5xx failures the store fast-fails every lookup (a
   lock acquire and a clock read, microseconds) until a timed half-open
   probe; a dead store costs one cold build, not a hung fleet;
@@ -53,7 +54,7 @@ from typing import Optional, Union
 
 from repro.exceptions import RemoteStoreError
 from repro.obs.metrics import LATENCY_BUCKETS, Counter, Histogram
-from repro.retry import RetryPolicy, parse_retry_after
+from repro.retry import CircuitBreaker, RetryPolicy, parse_retry_after
 from repro.testing import faults
 
 __all__ = ["RemoteArtifactStore", "ARTIFACTS_ROUTE"]
@@ -151,14 +152,9 @@ class RemoteArtifactStore:
             deadline_seconds=deadline_seconds,
             rng=rng,
         )
-        # Circuit breaker state (mirrors the registry's per-graph breaker).
-        self._breaker_threshold = breaker_threshold
-        self._breaker_reset = breaker_reset_seconds
-        self._breaker_lock = threading.Lock()
-        self._failures = 0
-        self._opened_at: Optional[float] = None
-        self._probing = False
-        self._last_error = ""
+        self._breaker = CircuitBreaker(
+            breaker_threshold, breaker_reset_seconds, self._breaker_transition
+        )
         # Single-flight fetch dedup: one lock per in-flight artifact name.
         self._flights_lock = threading.Lock()
         self._flights: dict[str, threading.Lock] = {}
@@ -202,24 +198,24 @@ class RemoteArtifactStore:
                     self.hits += 1
                     _REMOTE_FETCH.inc(kind=kind, outcome="hit")
                     return "hit"
-                if not self._breaker_allow():
+                if not self._breaker.admit():
                     _REMOTE_FETCH.inc(kind=kind, outcome="breaker_open")
                     return "unavailable"
                 started = time.perf_counter()
                 try:
                     payload, digest = self._download(name)
                 except _NotFound:
-                    self._breaker_success()
+                    self._breaker.record_success()
                     _REMOTE_FETCH.inc(kind=kind, outcome="miss")
                     _REMOTE_FETCH_SECONDS.observe(time.perf_counter() - started)
                     return "miss"
                 except Exception as exc:  # noqa: BLE001 - request path: degrade
-                    self._breaker_failure(exc)
+                    self._breaker.record_failure(exc)
                     _logger.warning("remote fetch of %s failed: %s", name, exc)
                     _REMOTE_FETCH.inc(kind=kind, outcome="error")
                     _REMOTE_FETCH_SECONDS.observe(time.perf_counter() - started)
                     return "unavailable"
-                self._breaker_success()
+                self._breaker.record_success()
                 outcome = self._adopt(name, payload, digest, target)
                 _REMOTE_FETCH.inc(kind=kind, outcome=outcome)
                 _REMOTE_FETCH_SECONDS.observe(time.perf_counter() - started)
@@ -321,7 +317,7 @@ class RemoteArtifactStore:
         """
         path = Path(path)
         name = name if name is not None else path.name
-        if not self._breaker_allow():
+        if not self._breaker.admit():
             _REMOTE_PUSH.inc(outcome="breaker_open")
             return False
         try:
@@ -334,12 +330,12 @@ class RemoteArtifactStore:
         try:
             self._upload(name, payload)
         except Exception as exc:  # noqa: BLE001 - best-effort by contract
-            self._breaker_failure(exc)
+            self._breaker.record_failure(exc)
             self.push_failures += 1
             _logger.warning("remote push of %s failed: %s", name, exc)
             _REMOTE_PUSH.inc(outcome="error")
             return False
-        self._breaker_success()
+        self._breaker.record_success()
         self.pushes += 1
         _REMOTE_PUSH.inc(outcome="ok")
         return True
@@ -516,90 +512,36 @@ class RemoteArtifactStore:
     # ------------------------------------------------------------------
     # circuit breaker
     # ------------------------------------------------------------------
-    def _breaker_allow(self) -> bool:
-        """Whether an operation may talk to the store right now.
-
-        Closed circuit: yes.  Open circuit inside the reset window: no —
-        this is the fast-fail (a lock and a clock read).  Open circuit past
-        the window: exactly one caller becomes the half-open probe.
-        """
-        if not self._breaker_threshold:
-            return True
-        with self._breaker_lock:
-            if self._opened_at is None:
-                return True
-            remaining = self._opened_at + self._breaker_reset - time.monotonic()
-            if remaining > 0:
-                return False
-            if self._probing:
-                return False
-            self._probing = True
-        _REMOTE_BREAKER.inc(state="half-open")
-        return True
-
-    def _breaker_failure(self, exc: Exception) -> None:
-        """Count one failed operation; trip (or re-trip) the circuit when due."""
-        if not self._breaker_threshold:
-            return
-        opened = False
-        with self._breaker_lock:
-            self._failures += 1
-            self._last_error = str(exc)
-            if self._probing or self._failures >= self._breaker_threshold:
-                self._opened_at = time.monotonic()
-                self._probing = False
-                opened = True
-        if opened:
+    def _breaker_transition(self, state: str) -> None:
+        """Log and count one breaker transition (``state`` is the new state)."""
+        if state == "open":
             _logger.warning(
                 "remote store %s circuit opened after %d failure(s): %s",
                 self.base_url,
-                self._failures,
-                exc,
+                self._breaker.failures,
+                self._breaker.last_error,
             )
-            _REMOTE_BREAKER.inc(state="open")
-
-    def _breaker_success(self) -> None:
-        """Close the circuit (and clear the failure streak) on any success."""
-        if not self._breaker_threshold:
-            return
-        closed = False
-        with self._breaker_lock:
-            if self._opened_at is not None or self._probing:
-                closed = True
-            self._failures = 0
-            self._opened_at = None
-            self._probing = False
-            self._last_error = ""
-        if closed:
+        elif state == "closed":
             _logger.info("remote store %s circuit closed", self.base_url)
-            _REMOTE_BREAKER.inc(state="closed")
+        _REMOTE_BREAKER.inc(state=state)
 
     @property
     def breaker_open(self) -> bool:
         """Whether the circuit is currently open (inside its reset window)."""
-        with self._breaker_lock:
-            if self._opened_at is None:
-                return False
-            return self._opened_at + self._breaker_reset > time.monotonic()
+        return self._breaker.open_for() > 0
 
     def describe(self) -> dict[str, object]:
         """One observable row: URL, counters, breaker state."""
-        with self._breaker_lock:
-            open_now = (
-                self._opened_at is not None
-                and self._opened_at + self._breaker_reset > time.monotonic()
-            )
-            failures = self._failures
-            last_error = self._last_error
+        state, _ = self._breaker.state()
         return {
             "url": self.base_url,
             "fetches": self.fetches,
             "hits": self.hits,
             "pushes": self.pushes,
             "push_failures": self.push_failures,
-            "breaker_open": open_now,
-            "breaker_failures": failures,
-            "breaker_last_error": last_error,
+            "breaker_open": state == "open",
+            "breaker_failures": self._breaker.failures,
+            "breaker_last_error": self._breaker.last_error,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

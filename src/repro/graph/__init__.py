@@ -15,14 +15,8 @@ from repro.graph.generators import (
     ring_labeled_graph,
     zipf_labeled_graph,
 )
-from repro.graph.io import (
-    read_edge_list,
-    read_json_graph,
-    write_edge_list,
-    write_json_graph,
-)
+from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.matrices import LabelMatrixStore
-from repro.graph.schema import GraphSchema, LabelSpec, generate_from_schema
 from repro.graph.statistics import GraphSummary, summarize_graph
 
 __all__ = [
@@ -30,22 +24,17 @@ __all__ = [
     "GraphDelta",
     "LabeledDiGraph",
     "LabelMatrixStore",
-    "GraphSchema",
-    "LabelSpec",
     "GraphSummary",
     "affected_first_labels",
     "barabasi_albert_graph",
     "correlated_label_graph",
     "erdos_renyi_graph",
     "forest_fire_graph",
-    "generate_from_schema",
     "read_delta",
     "read_edge_list",
-    "read_json_graph",
     "ring_labeled_graph",
     "summarize_graph",
     "write_delta",
     "write_edge_list",
-    "write_json_graph",
     "zipf_labeled_graph",
 ]

@@ -1,29 +1,20 @@
 """Reading and writing edge-labeled graphs.
 
-Two interchange formats are supported:
-
-* **edge list** — one edge per line, ``source <sep> label <sep> target``,
-  with ``#``-prefixed comment lines.  This covers the KONECT / SNAP style
-  files the paper's datasets are distributed in.
-* **JSON** — a small self-describing document with vertex and edge arrays,
-  convenient for fixtures and round-tripping generated datasets.
+The interchange format is the **edge list**: one edge per line,
+``source <sep> label <sep> target``, with ``#``-prefixed comment lines.
+This covers the KONECT / SNAP style files the paper's datasets are
+distributed in.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
 from repro.exceptions import GraphIOError
 from repro.graph.digraph import LabeledDiGraph
 
-__all__ = [
-    "read_edge_list",
-    "write_edge_list",
-    "read_json_graph",
-    "write_json_graph",
-]
+__all__ = ["read_edge_list", "write_edge_list"]
 
 PathLike = Union[str, Path]
 
@@ -111,46 +102,3 @@ def write_edge_list(
         if should_close:
             handle.close()
 
-
-def write_json_graph(
-    graph: LabeledDiGraph, target: Union[PathLike, TextIO], *, indent: int = 2
-) -> None:
-    """Write ``graph`` as a JSON document with ``vertices`` and ``edges`` arrays."""
-    document = {
-        "name": graph.name,
-        "vertices": [str(v) for v in graph.vertices()],
-        "edges": [
-            [str(edge.source), edge.label, str(edge.target)]
-            for edge in graph.edges()
-        ],
-    }
-    handle, should_close = _open_for_write(target)
-    try:
-        json.dump(document, handle, indent=indent, sort_keys=True)
-        handle.write("\n")
-    finally:
-        if should_close:
-            handle.close()
-
-
-def read_json_graph(source: Union[PathLike, TextIO]) -> LabeledDiGraph:
-    """Read a graph previously written by :func:`write_json_graph`."""
-    handle, should_close = _open_for_read(source)
-    try:
-        document = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise GraphIOError(f"invalid JSON graph document: {exc}") from exc
-    finally:
-        if should_close:
-            handle.close()
-    if not isinstance(document, dict) or "edges" not in document:
-        raise GraphIOError("JSON graph document must be an object with an 'edges' array")
-    graph = LabeledDiGraph(name=str(document.get("name", "")))
-    for vertex in document.get("vertices", []):
-        graph.add_vertex(vertex)
-    for entry in document["edges"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise GraphIOError(f"invalid edge entry: {entry!r}")
-        source_vertex, label, target_vertex = entry
-        graph.add_edge(source_vertex, str(label), target_vertex)
-    return graph

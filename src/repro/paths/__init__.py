@@ -15,7 +15,6 @@ from repro.paths.evaluation import (
     path_selectivity,
 )
 from repro.paths.index import (
-    PathIndex,
     domain_index_to_path,
     path_to_domain_index,
     paths_to_domain_indices,
@@ -36,7 +35,6 @@ __all__ = [
     "LabelPath",
     "MatrixPathEvaluator",
     "PathEvaluator",
-    "PathIndex",
     "SelectivityCatalog",
     "as_label_path",
     "compute_selectivity_nonzeros",

@@ -1,39 +1,29 @@
-"""Path indexing: domain arithmetic and the materialised path index.
+"""Domain indexing: the canonical bijection between label paths and integers.
 
-Two kinds of "index" live here:
-
-* **Domain indexing** — the canonical bijection between label paths and the
-  integer interval ``[0, |Lk|)`` in numerical-alphabetical order (shorter
-  paths first, ties broken position by position over the sorted alphabet).
-  A path is a base-``|L|`` number whose digits are label ranks, offset by the
-  sizes of the shorter-length blocks.  The columnar
-  :class:`~repro.paths.catalog.SelectivityCatalog` stores its frequency
-  vector in exactly this order, so these functions are the only translation
-  layer between :class:`LabelPath` objects and array positions.  Scalar and
-  vectorised forms are provided; the vectorised forms treat every length in
-  one pass, through the path's bijective base-``|L|`` numeral (label
-  digits ``1..|L|``, no zero digit), whose value minus one is the
-  canonical index.
-
-* **Materialised path indexing** — :class:`PathIndex`, the paper's substrate
-  from Fletcher et al. (EDBT 2016 — reference [6]): for every label path up
-  to a small length ``j`` the full result set ``ℓ(G)`` is stored so longer
-  queries can be answered by joining indexed sub-paths.
+Label paths map onto the integer interval ``[0, |Lk|)`` in
+numerical-alphabetical order (shorter paths first, ties broken position by
+position over the sorted alphabet).  A path is a base-``|L|`` number whose
+digits are label ranks, offset by the sizes of the shorter-length blocks.
+The columnar :class:`~repro.paths.catalog.SelectivityCatalog` stores its
+frequency vector in exactly this order, so these functions are the only
+translation layer between :class:`LabelPath` objects and array positions.
+Scalar and vectorised forms are provided; the vectorised forms treat every
+length in one pass, through the path's bijective base-``|L|`` numeral
+(label digits ``1..|L|``, no zero digit), whose value minus one is the
+canonical index.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.exceptions import PathError, UnknownLabelError
-from repro.graph.digraph import LabeledDiGraph
 from repro.paths.label_path import SEPARATOR, LabelPath, as_label_path
 
 __all__ = [
-    "PathIndex",
     "domain_block_starts",
     "path_to_domain_index",
     "domain_index_to_path",
@@ -256,159 +246,3 @@ def domain_indices_to_paths(
     lengths, digits = canonical_digit_matrix(len(ordered), max_length, index_array)
     return digit_matrix_to_paths(lengths, digits, ordered)
 
-
-class PathIndex:
-    """Materialised ``ℓ(G)`` pair sets for every label path with ``|ℓ| ≤ j``.
-
-    Parameters
-    ----------
-    graph:
-        The graph to index (snapshotted at construction time).
-    max_length:
-        The indexing depth ``j``.  Memory grows with
-        ``Σ_m |L|^m · avg(|ℓ(G)|)``; typical deployments keep ``j ≤ 3``.
-    labels:
-        Optional restriction of the label alphabet.
-    prune_empty:
-        When ``True`` (default) paths with an empty result are not stored
-        (lookups still answer them — with the empty set).
-    """
-
-    def __init__(
-        self,
-        graph: LabeledDiGraph,
-        max_length: int,
-        *,
-        labels: Optional[Sequence[str]] = None,
-        prune_empty: bool = True,
-    ) -> None:
-        if max_length < 1:
-            raise PathError("max_length must be >= 1")
-        self._graph = graph
-        self._max_length = max_length
-        self._labels = tuple(sorted(labels) if labels is not None else graph.labels())
-        self._prune_empty = prune_empty
-        self._pairs: dict[LabelPath, frozenset[Pair]] = {}
-        self._build()
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        # Length 1: straight from the per-label edge sets.
-        previous_level: dict[LabelPath, frozenset[Pair]] = {}
-        for label in self._labels:
-            pairs = frozenset(
-                (edge.source, edge.target) for edge in self._graph.edges_with_label(label)
-            )
-            path = LabelPath.single(label)
-            previous_level[path] = pairs
-            if pairs or not self._prune_empty:
-                self._pairs[path] = pairs
-        # Length m: extend every length m-1 result by one label via hash join.
-        for _ in range(2, self._max_length + 1):
-            current_level: dict[LabelPath, frozenset[Pair]] = {}
-            for prefix_path, prefix_pairs in previous_level.items():
-                if not prefix_pairs:
-                    continue
-                by_target: dict[object, list[object]] = {}
-                for source, target in prefix_pairs:
-                    by_target.setdefault(target, []).append(source)
-                for label in self._labels:
-                    extended: set[Pair] = set()
-                    adjacency = (
-                        self._graph.forward_adjacency(label)
-                        if self._graph.has_label(label)
-                        else {}
-                    )
-                    for middle, sources in by_target.items():
-                        for end in adjacency.get(middle, ()):
-                            for source in sources:
-                                extended.add((source, end))
-                    path = prefix_path.concat(label)
-                    pairs = frozenset(extended)
-                    current_level[path] = pairs
-                    if pairs or not self._prune_empty:
-                        self._pairs[path] = pairs
-            previous_level = current_level
-
-    # ------------------------------------------------------------------
-    # lookups
-    # ------------------------------------------------------------------
-    @property
-    def max_length(self) -> int:
-        """The indexing depth ``j``."""
-        return self._max_length
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """The indexed label alphabet."""
-        return self._labels
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __contains__(self, path: object) -> bool:
-        if isinstance(path, (str, LabelPath)):
-            return as_label_path(path) in self._pairs
-        return False
-
-    def indexed_paths(self) -> Iterator[LabelPath]:
-        """Iterate over the stored (non-pruned) paths."""
-        return iter(self._pairs)
-
-    def pairs(self, path: PathLike) -> frozenset[Pair]:
-        """The indexed pair set ``ℓ(G)`` of a path with ``|ℓ| ≤ j``."""
-        label_path = as_label_path(path)
-        if label_path.length > self._max_length:
-            raise PathError(
-                f"path {label_path} longer than the index depth j={self._max_length}"
-            )
-        return self._pairs.get(label_path, frozenset())
-
-    def selectivity(self, path: PathLike) -> int:
-        """``f(ℓ)`` for an indexed path."""
-        return len(self.pairs(path))
-
-    def total_stored_pairs(self) -> int:
-        """Total number of stored pairs (the index's memory footprint driver)."""
-        return sum(len(pairs) for pairs in self._pairs.values())
-
-    # ------------------------------------------------------------------
-    # evaluation of longer paths via the index
-    # ------------------------------------------------------------------
-    def evaluate(self, path: PathLike) -> set[Pair]:
-        """Evaluate a path of *any* length by joining indexed sub-paths.
-
-        The path is split greedily into chunks of at most ``j`` labels; the
-        chunks' indexed pair sets are hash-joined left to right.  For paths
-        with ``|ℓ| ≤ j`` this is a single lookup.
-        """
-        label_path = as_label_path(path)
-        chunks: list[LabelPath] = []
-        labels = label_path.labels
-        for start in range(0, len(labels), self._max_length):
-            chunks.append(LabelPath(labels[start:start + self._max_length]))
-        result: Optional[set[Pair]] = None
-        for chunk in chunks:
-            chunk_pairs = self.pairs(chunk)
-            if result is None:
-                result = set(chunk_pairs)
-                continue
-            by_source: dict[object, list[object]] = {}
-            for source, target in chunk_pairs:
-                by_source.setdefault(source, []).append(target)
-            joined: set[Pair] = set()
-            for source, middle in result:
-                for end in by_source.get(middle, ()):
-                    joined.add((source, end))
-            result = joined
-            if not result:
-                break
-        return result if result is not None else set()
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"<PathIndex j={self._max_length} |L|={len(self._labels)} "
-            f"stored_paths={len(self._pairs)} stored_pairs={self.total_stored_pairs()}>"
-        )

@@ -1,4 +1,4 @@
-"""Shared retry core: exponential backoff, full jitter, deadlines.
+"""Shared retry core: exponential backoff, full jitter, deadlines, breakers.
 
 Extracted from :class:`~repro.serving.client.ServiceClient` so every HTTP
 caller in the stack — the serving client and the
@@ -24,15 +24,20 @@ per-attempt timeout (:meth:`RetryState.begin_attempt`) and for the next
 pause (:meth:`RetryState.next_pause`).  The state never sleeps and never
 raises — ``None`` answers mean "budget spent", and the caller decides what
 error to surface (each call site has richer context than the helper).
+
+:class:`CircuitBreaker` is the other half of failing well: the one
+closed → open → half-open state machine behind both the registry's
+per-graph build breaker and the remote artifact store's per-remote breaker.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 import time
-from typing import Optional
+from typing import Callable, Optional
 
-__all__ = ["RetryPolicy", "RetryState", "parse_retry_after"]
+__all__ = ["CircuitBreaker", "RetryPolicy", "RetryState", "parse_retry_after"]
 
 
 def parse_retry_after(value: Optional[str]) -> Optional[float]:
@@ -173,3 +178,119 @@ class RetryState:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<RetryState attempts={self.attempts} deadline={self.deadline}>"
+
+
+class CircuitBreaker:
+    """A consecutive-failure circuit breaker: closed → open → half-open.
+
+    ``threshold`` consecutive failures open the circuit for
+    ``reset_seconds``; while it is open, :meth:`open_for` is positive and
+    :meth:`admit` turns callers away — a lock and a clock read.  Once the
+    window has passed the circuit is *half-open*: the next caller
+    :meth:`admit` lets through becomes the one probe.  Its success closes
+    the circuit and clears the streak; its failure re-opens the circuit for
+    another full window, whatever the consecutive count says — the
+    protected thing just proved it is still broken.  ``threshold=0``
+    disables the breaker: every call is admitted and nothing is recorded.
+
+    ``on_transition(state)`` runs outside the lock with each state entered
+    (``"open"``, ``"half-open"``, ``"closed"``), so each owner feeds its own
+    metrics and logs.  ``failures`` and ``last_error`` describe the current
+    streak.
+    """
+
+    __slots__ = (
+        "threshold",
+        "reset_seconds",
+        "failures",
+        "last_error",
+        "_opened_at",
+        "_probing",
+        "_on_transition",
+        "_lock",
+    )
+
+    def __init__(
+        self,
+        threshold: int,
+        reset_seconds: float,
+        on_transition: Callable[[str], None],
+    ) -> None:
+        self.threshold = threshold
+        self.reset_seconds = reset_seconds
+        self.failures = 0
+        self.last_error = ""
+        self._opened_at: Optional[float] = None
+        self._probing = False
+        self._on_transition = on_transition
+        self._lock = threading.Lock()
+
+    def _remaining(self) -> float:
+        if self._opened_at is None:
+            return 0.0
+        return self._opened_at + self.reset_seconds - time.monotonic()
+
+    def open_for(self) -> float:
+        """Seconds the circuit stays open; ``<= 0`` once callers may pass."""
+        with self._lock:
+            return self._remaining()
+
+    def state(self) -> tuple[str, float]:
+        """The state and the seconds it stays open (``0.0`` unless open).
+
+        The state is ``"closed"``, ``"open"`` or ``"half-open"`` (the
+        window has passed; the next admitted caller probes).
+        """
+        with self._lock:
+            if self._opened_at is None:
+                return "closed", 0.0
+            remaining = self._remaining()
+        return ("open", remaining) if remaining > 0 else ("half-open", 0.0)
+
+    def admit(self) -> bool:
+        """Whether one call may go ahead now; marks the half-open probe.
+
+        Closed: yes.  Open inside the window, or half-open with a probe
+        already in flight: no.  Half-open otherwise: yes, and this caller
+        is the probe.
+        """
+        if not self.threshold:
+            return True
+        with self._lock:
+            if self._opened_at is None:
+                return True
+            if self._probing or self._remaining() > 0:
+                return False
+            self._probing = True
+        self._on_transition("half-open")
+        return True
+
+    def record_failure(self, exc: BaseException) -> None:
+        """Count one failed call; open (or re-open) the circuit when due."""
+        if not self.threshold:
+            return
+        with self._lock:
+            self.failures += 1
+            self.last_error = str(exc)
+            opened = self._probing or self.failures >= self.threshold
+            if opened:
+                self._opened_at = time.monotonic()
+                self._probing = False
+        if opened:
+            self._on_transition("open")
+
+    def record_success(self) -> None:
+        """Close the circuit and clear the failure streak."""
+        if not self.threshold:
+            return
+        with self._lock:
+            closed = self._opened_at is not None or self._probing
+            self.failures = 0
+            self.last_error = ""
+            self._opened_at = None
+            self._probing = False
+        if closed:
+            self._on_transition("closed")
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return f"<CircuitBreaker {self.state()[0]} failures={self.failures}>"

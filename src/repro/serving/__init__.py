@@ -12,8 +12,6 @@ into a multi-graph, multi-client serving layer:
   ``estimate_batch`` call per session, with backpressure via a bounded queue
   and latency/throughput counters on a
   :class:`~repro.serving.scheduler.ServiceStats`;
-* :class:`~repro.serving.service.EstimationService` is the asyncio front-end
-  (``await estimate / estimate_many / warm / evict``);
 * :mod:`repro.serving.http` / :mod:`repro.serving.client` are a stdlib JSON
   HTTP endpoint and client, drivable end-to-end via ``repro serve`` and
   ``repro client`` with no dependencies beyond the standard library.  The
@@ -24,7 +22,10 @@ into a multi-graph, multi-client serving layer:
   catalog artifacts (``repro serve --workers N``);
 * :mod:`repro.serving.artifacts` is the directory-backed content-addressed
   artifact server (``repro artifact-server``) behind which a fleet shares
-  build artifacts through :class:`~repro.engine.remote.RemoteArtifactStore`.
+  build artifacts through :class:`~repro.engine.remote.RemoteArtifactStore`;
+* :mod:`repro.serving.base` is the HTTP scaffold both servers subclass:
+  keep-alive, request ids, the error envelope, the body cap and
+  ``/metrics`` are defined there once.
 """
 
 from repro.serving.artifacts import ArtifactHTTPServer, make_artifact_server
@@ -33,14 +34,12 @@ from repro.serving.http import API_PREFIX, EstimationHTTPServer, make_server
 from repro.serving.prefork import PreforkServer
 from repro.serving.registry import RegistryStats, SessionRegistry
 from repro.serving.scheduler import EstimateScheduler, ServiceStats
-from repro.serving.service import EstimationService
 
 __all__ = [
     "API_PREFIX",
     "ArtifactHTTPServer",
     "EstimateScheduler",
     "EstimationHTTPServer",
-    "EstimationService",
     "PreforkServer",
     "RegistryStats",
     "ServiceClient",

@@ -4,8 +4,10 @@
 (``catalog-*.npz``, ``histogram-*.json``, ``positions-*.npy``) to a fleet
 of replicas whose :class:`~repro.engine.remote.RemoteArtifactStore` clients
 fetch on local miss and push after cold builds.  Like the estimation
-endpoint it is a bare :class:`http.server.ThreadingHTTPServer` — no
-framework, no dependencies.
+endpoint it is a bare threading HTTP server — no framework, no
+dependencies — on the shared scaffold of :mod:`repro.serving.base`, which
+owns the wire behaviour: keep-alive, request ids, the error envelope, the
+body cap and ``/metrics``.
 
 Routes
 ------
@@ -29,9 +31,7 @@ Routes
 Artifact names are strictly validated (``catalog-``/``histogram-``/
 ``positions-`` prefix, key charset, known suffix) so the server can never
 be walked outside its directory and never stores a name the cache globs
-would not recognise.  Every non-2xx answer carries the same error envelope
-as the estimation endpoint: ``{"error", "code", "retry_after",
-"request_id"}``.
+would not recognise.
 
 Digests are computed lazily and cached per ``(size, mtime_ns)``, so a
 repeatedly fetched catalog is hashed once, not per request, while any
@@ -41,17 +41,15 @@ rewrite invalidates the entry.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import threading
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from repro.exceptions import ServingError
 from repro.obs.metrics import Counter, MetricsRegistry, default_registry
+from repro.serving.base import ServingHandler, ServingHTTPServer
 
 __all__ = ["ArtifactHTTPServer", "make_artifact_server", "ARTIFACTS_PREFIX"]
 
@@ -67,21 +65,10 @@ _NAME_RE = re.compile(
     r"|positions-[A-Za-z0-9_.-]+\.npy)$"
 )
 
-_DEFAULT_CODES = {
-    400: "bad_request",
-    404: "not_found",
-    405: "method_not_allowed",
-    413: "body_too_large",
-    500: "internal",
-    503: "unavailable",
-}
 
 
-class ArtifactHTTPServer(ThreadingHTTPServer):
+class ArtifactHTTPServer(ServingHTTPServer):
     """A threading HTTP server exposing one artifact directory."""
-
-    daemon_threads = True
-    request_queue_size = 128
 
     def __init__(
         self,
@@ -89,36 +76,33 @@ class ArtifactHTTPServer(ThreadingHTTPServer):
         directory: Union[str, Path],
         *,
         max_body_bytes: int = 256 * 2**20,
-        verbose: bool = False,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if max_body_bytes < 1:
-            raise ServingError("max_body_bytes must be >= 1")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_body_bytes = max_body_bytes
-        self.verbose = verbose
-        self.metrics = metrics if metrics is not None else default_registry()
+        metrics = metrics if metrics is not None else default_registry()
         self._requests = Counter(
             "repro_artifact_requests_total",
             "Artifact-server requests answered, by method and status.",
             labelnames=("method", "status"),
-            registry=self.metrics,
+            registry=metrics,
         )
         self._bytes_served = Counter(
             "repro_artifact_bytes_served_total",
             "Artifact payload bytes answered to GET requests.",
-            registry=self.metrics,
+            registry=metrics,
         )
         self._bytes_stored = Counter(
             "repro_artifact_bytes_stored_total",
             "Artifact payload bytes accepted from PUT requests.",
-            registry=self.metrics,
+            registry=metrics,
         )
         # sha256 per (size, mtime_ns): rehash only when the file changed.
         self._digest_lock = threading.Lock()
         self._digests: dict[str, tuple[tuple[int, int], str]] = {}
-        super().__init__(address, _ArtifactHandler)
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        super().__init__(
+            address, _ArtifactHandler, max_body_bytes=max_body_bytes, metrics=metrics
+        )
 
     def observe(self, *, method: str, status: int) -> None:
         """Feed one answered request into the request counter."""
@@ -188,82 +172,17 @@ class ArtifactHTTPServer(ThreadingHTTPServer):
         return True
 
 
-class _ArtifactHandler(BaseHTTPRequestHandler):
+class _ArtifactHandler(ServingHandler):
     server: ArtifactHTTPServer  # narrowed for attribute access
     server_version = "repro-artifacts/1.0"
-    protocol_version = "HTTP/1.1"
-    # One buffered write per response with TCP_NODELAY, as in the
-    # estimation server: no delayed-ACK stall on keep-alive connections.
-    disable_nagle_algorithm = True
-    wbufsize = -1
 
-    _request_id = ""
-    _status = 0
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        """Suppress per-request logging unless the server runs verbose."""
-        if self.server.verbose:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------------
-    # answering
-    # ------------------------------------------------------------------
-    def _begin(self) -> None:
-        rid = (self.headers.get("X-Request-Id") or "").strip()
-        self._request_id = rid if rid else uuid.uuid4().hex
-        self._status = 0
-
-    def _finish(self, method: str) -> None:
-        self.server.observe(method=method, status=self._status)
-
-    def _send_bytes(
-        self,
-        status: int,
-        body: bytes,
-        *,
-        content_type: str,
-        digest: Optional[str] = None,
-        head: bool = False,
-        length: Optional[int] = None,
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body) if length is None else length))
-        if digest is not None:
-            self.send_header("X-Content-Sha256", digest)
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        self.end_headers()
-        if not head:
-            self.wfile.write(body)
-
-    def _send_json(self, status: int, document: object) -> None:
-        self._send_bytes(
-            status,
-            json.dumps(document).encode("utf-8"),
-            content_type="application/json",
-        )
-
-    def _send_error_json(
-        self, status: int, message: str, *, code: Optional[str] = None
-    ) -> None:
-        envelope = {
-            "error": message,
-            "code": code or _DEFAULT_CODES.get(status, "error"),
-            "retry_after": None,
-            "request_id": self._request_id,
-        }
-        self._send_json(status, envelope)
-
-    def send_error(  # noqa: D102 - BaseHTTPRequestHandler API
-        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
-    ) -> None:
-        self.close_connection = True
+    def _answer(self, method: str, route: "Callable[[], None]") -> None:
+        """Run one routed request, then count it by method and status."""
+        self._begin_request()
         try:
-            self._send_error_json(code, message or str(explain or "request failed"))
-        except OSError:  # pragma: no cover - peer already gone
-            pass
+            route()
+        finally:
+            self.server.observe(method=method, status=self._status)
 
     # ------------------------------------------------------------------
     # routing
@@ -279,47 +198,32 @@ class _ArtifactHandler(BaseHTTPRequestHandler):
             return None
         name = self.path[len(ARTIFACTS_PREFIX) + 1 :]
         if self.server.artifact_path(name) is None:
-            self._send_error_json(
-                404, f"not a valid artifact name: {name!r}", code="not_found"
-            )
+            self._send_error_json(404, f"not a valid artifact name: {name!r}")
             return None
         return name
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         """Route GET: probes, metrics, the index, and artifact downloads."""
-        self._begin()
-        try:
-            if self.path == "/healthz":
-                self._send_json(
-                    200, {"status": "ok", "artifacts": len(self.server.index())}
-                )
-            elif self.path == "/readyz":
-                if self.server.writable():
-                    self._send_json(200, {"status": "ok", "writable": True})
-                else:
-                    self._send_error_json(
-                        503, "store directory is not writable", code="not_ready"
-                    )
-            elif self.path == "/metrics":
-                self._send_bytes(
-                    200,
-                    self.server.metrics.render().encode("utf-8"),
-                    content_type="text/plain; version=0.0.4; charset=utf-8",
-                )
-            elif self.path == ARTIFACTS_PREFIX:
-                self._send_json(200, {"artifacts": self.server.index()})
+        self._answer("GET", self._route_get)
+
+    def _route_get(self) -> None:
+        if self.path == "/healthz":
+            self._send_json(200, {"status": "ok", "artifacts": len(self.server.index())})
+        elif self.path == "/readyz":
+            if self.server.writable():
+                self._send_json(200, {"status": "ok", "writable": True})
             else:
-                self._serve_artifact(head=False)
-        finally:
-            self._finish("GET")
+                self._send_error_json(503, "store directory is not writable", code="not_ready")
+        elif self.path == "/metrics":
+            self._send_metrics()
+        elif self.path == ARTIFACTS_PREFIX:
+            self._send_json(200, {"artifacts": self.server.index()})
+        else:
+            self._serve_artifact(head=False)
 
     def do_HEAD(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         """Route HEAD: presence/digest probes on artifact names."""
-        self._begin()
-        try:
-            self._serve_artifact(head=True)
-        finally:
-            self._finish("HEAD")
+        self._answer("HEAD", lambda: self._serve_artifact(head=True))
 
     def _serve_artifact(self, *, head: bool) -> None:
         name = self._artifact_name()
@@ -339,92 +243,66 @@ class _ArtifactHandler(BaseHTTPRequestHandler):
         if digest is None:
             # Deleted between read and stat; hash what was actually read.
             digest = hashlib.sha256(body).hexdigest()
-        self._send_bytes(
-            200,
-            b"" if head else body,
-            content_type="application/octet-stream",
-            digest=digest,
-            head=head,
-            length=len(body),
+        self._send(
+            200, body, "application/octet-stream", {"X-Content-Sha256": digest}, head=head
         )
         if not head:
             self.server._bytes_served.inc(len(body))
 
     def do_PUT(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         """Route PUT: verified, atomic artifact uploads."""
-        self._begin()
-        try:
-            name = self._artifact_name()
-            if name is None:
-                return
-            try:
-                length = int(self.headers.get("Content-Length", "-1"))
-            except ValueError:
-                length = -1
-            if length < 0:
-                self._send_error_json(400, "missing or invalid Content-Length")
-                return
-            if length > self.server.max_body_bytes:
-                # Refuse without reading; the unread body desyncs the
-                # keep-alive stream, so drop the connection after answering.
-                self.close_connection = True
-                self._send_error_json(
-                    413,
-                    f"artifact of {length} bytes exceeds limit of "
-                    f"{self.server.max_body_bytes} bytes",
-                )
-                return
-            body = self.rfile.read(length)
-            if len(body) != length:
-                self.close_connection = True
-                self._send_error_json(
-                    400, f"body truncated: got {len(body)} of {length} bytes"
-                )
-                return
-            digest = hashlib.sha256(body).hexdigest()
-            claimed = (self.headers.get("X-Content-Sha256") or "").strip().lower()
-            if claimed and claimed != digest:
-                # The uploader knows what it read from disk; a mismatch
-                # means the body was damaged in flight.  Refusing here keeps
-                # a corrupt artifact from ever entering the shared tier.
-                self._send_error_json(
-                    400,
-                    f"payload digest {digest[:12]}... does not match "
-                    f"claimed {claimed[:12]}...",
-                    code="digest_mismatch",
-                )
-                return
-            path = self.server.artifact_path(name)
-            assert path is not None  # _artifact_name validated
-            created = not path.exists()
-            temp = path.with_name(f".{name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-            try:
-                temp.write_bytes(body)
-                os.replace(temp, path)
-            except OSError as exc:  # pragma: no cover - disk trouble
-                self._send_error_json(500, f"cannot store {name}: {exc!r}")
-                return
-            finally:
-                temp.unlink(missing_ok=True)
-            self.server.remember_digest(path, digest)
-            self.server._bytes_stored.inc(len(body))
-            self._send_json(
-                201 if created else 200,
-                {"name": name, "bytes": len(body), "sha256": digest},
+        self._answer("PUT", self._store_artifact)
+
+    def _store_artifact(self) -> None:
+        name = self._artifact_name()
+        if name is None:
+            # Refused before reading the body: the unread bytes would be
+            # parsed as the next request, so drop the connection.
+            self.close_connection = True
+            return
+        body = self._read_body(required=True)
+        if body is None:
+            return
+        digest = hashlib.sha256(body).hexdigest()
+        claimed = (self.headers.get("X-Content-Sha256") or "").strip().lower()
+        if claimed and claimed != digest:
+            # The uploader knows what it read from disk; a mismatch means the
+            # body was damaged in flight.  Refusing here keeps a corrupt
+            # artifact from ever entering the shared tier.
+            self._send_error_json(
+                400,
+                f"payload digest {digest[:12]}... does not match "
+                f"claimed {claimed[:12]}...",
+                code="digest_mismatch",
             )
+            return
+        path = self.server.artifact_path(name)
+        assert path is not None  # _artifact_name validated
+        created = not path.exists()
+        temp = path.with_name(f".{name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
+        try:
+            temp.write_bytes(body)
+            os.replace(temp, path)
+        except OSError as exc:  # pragma: no cover - disk trouble
+            self._send_error_json(500, f"cannot store {name}: {exc!r}")
+            return
         finally:
-            self._finish("PUT")
+            temp.unlink(missing_ok=True)
+        self.server.remember_digest(path, digest)
+        self.server._bytes_stored.inc(len(body))
+        self._send_json(
+            201 if created else 200, {"name": name, "bytes": len(body), "sha256": digest}
+        )
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         """Reject POST uniformly (the store speaks GET/HEAD/PUT)."""
-        self._begin()
-        try:
-            self.close_connection = True
-            self._send_error_json(
-                405, "artifact store speaks GET/HEAD/PUT", code="method_not_allowed"
-            )
-        finally:
-            self._finish("POST")
+        self._answer("POST", self._reject_post)
+
+    def _reject_post(self) -> None:
+        self.close_connection = True
+        self._send_error_json(
+            405, "artifact store speaks GET/HEAD/PUT", code="method_not_allowed"
+        )
 
 
 def make_artifact_server(
@@ -433,7 +311,6 @@ def make_artifact_server(
     host: str = "127.0.0.1",
     port: int = 8081,
     max_body_bytes: int = 256 * 2**20,
-    verbose: bool = False,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ArtifactHTTPServer:
     """Build a ready-to-run artifact server (``serve_forever``/``shutdown``).
@@ -445,6 +322,5 @@ def make_artifact_server(
         (host, port),
         directory,
         max_body_bytes=max_body_bytes,
-        verbose=verbose,
         metrics=metrics,
     )

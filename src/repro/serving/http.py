@@ -1,11 +1,13 @@
 """Stdlib JSON HTTP endpoint over the registry + scheduler.
 
-No framework, no dependencies: a :class:`http.server.ThreadingHTTPServer`
-whose handler threads submit into the shared micro-batching scheduler and
-block on their futures.  Because coalescing happens in the scheduler, N
-concurrent HTTP clients asking for one path each still produce one
-``estimate_batch`` call per window — the server is just another front-end
-over the same core as the asyncio :class:`~repro.serving.service.EstimationService`.
+No framework, no dependencies: a threading HTTP server whose handler
+threads submit into the shared micro-batching scheduler and block on their
+futures.  Because coalescing happens in the scheduler, N concurrent HTTP
+clients asking for one path each still produce one ``estimate_batch`` call
+per window.  The wire behaviour — keep-alive, request ids, the error
+envelope, the body cap, ``/metrics`` — is the scaffold in
+:mod:`repro.serving.base`, shared with the artifact server; this module
+holds only the routes.
 
 Routes
 ------
@@ -44,10 +46,7 @@ Request counts and latency feed ``repro_http_requests_total`` /
 
 Error mapping
 -------------
-Every non-2xx response carries one uniform JSON envelope::
-
-    {"error": <human message>, "code": <machine code>,
-     "retry_after": <seconds or null>, "request_id": <echoed/minted id>}
+Every non-2xx response carries the envelope of :mod:`repro.serving.base`:
 
 ==========================================  ==============================
 condition                                   response (``code``)
@@ -69,11 +68,9 @@ unexpected handler fault                    500 (``internal``)
 429 means *this graph* is over its admission budget — other graphs are
 still being served, retry against the same server after the hint.  503
 means the *whole service* cannot take the request right now (shared queue
-full, graph circuit open, shutting down) — retry later or elsewhere.  The
-``Retry-After`` header carries decimal seconds (an internal convention;
-standard HTTP allows only whole seconds or a date) and
-:class:`~repro.serving.client.ServiceClient` honours it as a lower bound
-on its backoff pause.
+full, graph circuit open, shutting down) — retry later or elsewhere.
+:class:`~repro.serving.client.ServiceClient` honours the decimal
+``Retry-After`` as a lower bound on its backoff pause.
 
 On SIGTERM/SIGINT the CLI calls :meth:`EstimationHTTPServer.close`, which
 drains gracefully: stop accepting connections, finish the scheduler's
@@ -87,7 +84,6 @@ import socket
 import threading
 import time
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Callable, Iterator, Optional
 
@@ -112,6 +108,7 @@ from repro.obs.metrics import (
     default_registry,
 )
 from repro.obs.tracing import Trace, TraceStore
+from repro.serving.base import ServingHandler, ServingHTTPServer
 from repro.serving.registry import SessionRegistry
 from repro.serving.scheduler import EstimateScheduler, ServiceStats
 
@@ -139,33 +136,14 @@ _KNOWN_ROUTES = frozenset(
     }
 ) | _API_ROUTES
 
-#: Default machine-readable envelope code per status, for call sites that
-#: do not name a more specific one.
-_DEFAULT_CODES = {
-    400: "bad_request",
-    404: "not_found",
-    413: "body_too_large",
-    429: "graph_overloaded",
-    500: "internal",
-    503: "unavailable",
-    504: "timeout",
-}
-
 #: Observability endpoints are not themselves recorded as traces — a
 #: scraper polling ``/metrics`` every second would crowd real requests
 #: out of the recent-traces window.
 _UNTRACED_ROUTES = frozenset({"/healthz", "/readyz", "/metrics", "/traces"})
 
 
-class EstimationHTTPServer(ThreadingHTTPServer):
+class EstimationHTTPServer(ServingHTTPServer):
     """A threading HTTP server owning the scheduler it serves through."""
-
-    daemon_threads = True
-    # Default accept backlog is 5: a burst of concurrent clients gets
-    # connection resets before the handler can even answer 503.  Queue the
-    # connections instead — backpressure belongs to the scheduler, which
-    # answers with a retryable status rather than a dropped socket.
-    request_queue_size = 128
 
     def __init__(
         self,
@@ -176,7 +154,6 @@ class EstimationHTTPServer(ThreadingHTTPServer):
         request_timeout: float = 30.0,
         max_body_bytes: int = 8 * 2**20,
         retry_after_seconds: float = 0.05,
-        verbose: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         traces: Optional[TraceStore] = None,
         health: Optional[HealthState] = None,
@@ -185,13 +162,11 @@ class EstimationHTTPServer(ThreadingHTTPServer):
         self.registry = registry
         self.scheduler = scheduler
         self.request_timeout = request_timeout
-        self.max_body_bytes = max_body_bytes
         self.retry_after_seconds = retry_after_seconds
-        self.verbose = verbose
         self._serving = False
         self._inflight = 0
         self._inflight_lock = threading.Lock()
-        self.metrics = metrics if metrics is not None else default_registry()
+        metrics = metrics if metrics is not None else default_registry()
         self.traces = traces if traces is not None else TraceStore()
         self.health = health if health is not None else HealthState()
         self.health.add_check("scheduler_worker_alive", scheduler.worker_alive)
@@ -200,29 +175,33 @@ class EstimationHTTPServer(ThreadingHTTPServer):
             "repro_http_requests_total",
             "HTTP requests answered, by route, method and status.",
             labelnames=("route", "method", "status"),
-            registry=self.metrics,
+            registry=metrics,
         )
         self._http_seconds = Histogram(
             "repro_http_request_seconds",
             "Wall-clock request latency at the HTTP layer, by route.",
             buckets=LATENCY_BUCKETS,
             labelnames=("route",),
-            registry=self.metrics,
+            registry=metrics,
         )
         self._http_deprecated = Counter(
             "repro_http_deprecated_requests_total",
             "Requests answered on a deprecated unversioned alias, by route.",
             labelnames=("route",),
-            registry=self.metrics,
+            registry=metrics,
         )
-        if inherited_socket is None:
-            super().__init__(address, _Handler)
-        else:
+        super().__init__(
+            address,
+            _Handler,
+            max_body_bytes=max_body_bytes,
+            metrics=metrics,
+            bind_and_activate=inherited_socket is None,
+        )
+        if inherited_socket is not None:
             # Pre-fork worker: adopt a socket that was bound (and is already
             # listening) before the fork instead of binding a fresh one.
             # ``bind_and_activate=False`` still creates an unused socket
             # object; swap it out before anything touches it.
-            super().__init__(address, _Handler, bind_and_activate=False)
             self.socket.close()
             self.socket = inherited_socket
             self.server_address = inherited_socket.getsockname()
@@ -299,30 +278,13 @@ class EstimationHTTPServer(ThreadingHTTPServer):
         self.server_close()
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(ServingHandler):
     server: EstimationHTTPServer  # narrowed for attribute access
     server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
-    # Buffer the response and send it with TCP_NODELAY: the headers and the
-    # body leave in the one write of the per-request flush, instead of two
-    # sends whose second waits out the client's delayed ACK (~40 ms on every
-    # keep-alive request).
-    disable_nagle_algorithm = True
-    wbufsize = -1
-
-    #: Filled per request by :meth:`_observe`; defaults keep the error
-    #: paths that bypass it (malformed request lines) safe.
-    _request_id = ""
-    _status = 0
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        """Suppress per-request logging unless the server runs verbose."""
-        if self.server.verbose:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
-
     def _normalized_path(self) -> str:
         """``self.path`` with the ``/v1`` prefix stripped for dispatch."""
         path = self.path
@@ -331,79 +293,6 @@ class _Handler(BaseHTTPRequestHandler):
         if path.startswith(API_PREFIX + "/"):
             return path[len(API_PREFIX) :]
         return path
-
-    def _send_json(self, status: int, document: object) -> None:
-        body = json.dumps(document).encode("utf-8")
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(
-        self,
-        status: int,
-        message: str,
-        *,
-        code: Optional[str] = None,
-        retry_after: Optional[float] = None,
-        extra: Optional[dict[str, object]] = None,
-    ) -> None:
-        """Answer a non-2xx with the uniform v1 error envelope.
-
-        The body always carries the four envelope fields —
-        ``{"error", "code", "retry_after", "request_id"}`` — so clients can
-        branch on ``code`` without sniffing status-specific shapes;
-        ``extra`` merges additional context (e.g. the readiness checks)
-        without displacing them.
-        """
-        envelope: dict[str, object] = {
-            "error": message,
-            "code": code or _DEFAULT_CODES.get(status, "error"),
-            "retry_after": retry_after,
-            "request_id": self._request_id,
-        }
-        if extra:
-            envelope.update(extra)
-        body = json.dumps(envelope).encode("utf-8")
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        if retry_after is not None:
-            # Decimal seconds: an internal convention the ServiceClient
-            # parses; sub-second hints matter at micro-batching timescales.
-            self.send_header("Retry-After", f"{retry_after:.3f}")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def send_error(  # noqa: D102 - BaseHTTPRequestHandler API
-        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
-    ) -> None:
-        # Protocol-level failures (malformed request line, unsupported
-        # method) otherwise answer with the stdlib HTML error page; route
-        # them through the envelope so *every* non-2xx is uniform.
-        self.close_connection = True
-        try:
-            self._send_error_json(code, message or str(explain or "request failed"))
-        except OSError:  # pragma: no cover - peer already gone
-            pass
 
     def _observe(self, method: str, route_fn: "Callable[[], None]") -> None:
         """Run one routed request under a trace, then feed the HTTP metrics.
@@ -414,9 +303,7 @@ class _Handler(BaseHTTPRequestHandler):
         the scheduler submit path captures it into the queued request and
         the worker's spans land here.
         """
-        rid = (self.headers.get("X-Request-Id") or "").strip()
-        self._request_id = rid if rid else tracing.new_request_id()
-        self._status = 0
+        self._begin_request()
         normalized = self._normalized_path()
         route = normalized if normalized in _KNOWN_ROUTES else "other"
         traced = tracing.tracing_enabled()
@@ -440,23 +327,9 @@ class _Handler(BaseHTTPRequestHandler):
                     tracing.emit_trace(trace)
 
     def _read_json(self) -> Optional[dict[str, object]]:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0:
-            self._send_error_json(400, "missing or invalid Content-Length")
+        raw = self._read_body(required=False)
+        if raw is None:
             return None
-        limit = self.server.max_body_bytes
-        if length > limit:
-            # Refuse without reading: the unread body desyncs the
-            # keep-alive stream, so drop the connection after answering.
-            self.close_connection = True
-            self._send_error_json(
-                413, f"request body of {length} bytes exceeds limit of {limit} bytes"
-            )
-            return None
-        raw = self.rfile.read(length) if length else b""
         try:
             document = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -494,9 +367,7 @@ class _Handler(BaseHTTPRequestHandler):
             return False
         self.server.observe_deprecated(route=route)
         self._send_error_json(
-            404,
-            f"unversioned route {route} was removed; use {API_PREFIX}{route}",
-            code="not_found",
+            404, f"unversioned route {route} was removed; use {API_PREFIX}{route}"
         )
         return True
 
@@ -526,11 +397,7 @@ class _Handler(BaseHTTPRequestHandler):
                     extra=self.server.health.as_row(),
                 )
         elif route == "/metrics":
-            self._send_text(
-                200,
-                self.server.metrics.render(),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
+            self._send_metrics()
         elif route == "/traces":
             self._send_json(200, self.server.traces.snapshot())
         elif route == "/stats":
@@ -544,9 +411,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif route == "/graphs":
             self._send_json(200, {"graphs": self.server.registry.describe()})
         else:
-            self._send_error_json(
-                404, f"no such route: {self.path}", code="not_found"
-            )
+            self._send_error_json(404, f"no such route: {self.path}")
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         """Route POST requests: ``/estimate``, ``/warm``, ``/evict``, ...."""
@@ -569,9 +434,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif route == "/update":
             self._handle_update(document)
         else:
-            self._send_error_json(
-                404, f"no such route: {self.path}", code="not_found"
-            )
+            self._send_error_json(404, f"no such route: {self.path}")
 
     def _handle_estimate(self, document: dict[str, object]) -> None:
         graph = self._graph_name(document)
@@ -712,7 +575,6 @@ def make_server(
     max_body_bytes: int = 8 * 2**20,
     retry_after_seconds: float = 0.05,
     stats: Optional[ServiceStats] = None,
-    verbose: bool = False,
     metrics: Optional[MetricsRegistry] = None,
     traces: Optional[TraceStore] = None,
     health: Optional[HealthState] = None,
@@ -728,8 +590,6 @@ def make_server(
     """
     if request_timeout <= 0:
         raise ServingError("request_timeout must be > 0")
-    if max_body_bytes < 1:
-        raise ServingError("max_body_bytes must be >= 1")
     if retry_after_seconds < 0:
         raise ServingError("retry_after_seconds must be >= 0")
     scheduler = EstimateScheduler(
@@ -749,12 +609,11 @@ def make_server(
             request_timeout=request_timeout,
             max_body_bytes=max_body_bytes,
             retry_after_seconds=retry_after_seconds,
-            verbose=verbose,
             metrics=metrics,
             traces=traces,
             health=health,
             inherited_socket=inherited_socket,
         )
-    except OSError:
+    except (OSError, ServingError):
         scheduler.close()
         raise

@@ -17,13 +17,14 @@ session.  The registry evicts least-recently-used sessions beyond
 the shared on-disk :class:`~repro.engine.cache.ArtifactCache` inside a byte
 budget too (``prune_cache_bytes``).
 
-Builds are guarded by a **per-graph circuit breaker**: after
-``breaker_threshold`` consecutive failures for one name, further requests
-fast-fail with :class:`~repro.exceptions.CircuitOpenError` (mapped to a 503
-with a ``Retry-After`` hint) instead of re-running a doomed — possibly
-slow — build on every request.  After ``breaker_reset_seconds`` the circuit
-goes *half-open*: exactly one request probes a real build; success closes
-the circuit, failure re-opens it for another full reset window.
+Builds are guarded by a **per-graph circuit breaker** (the shared
+:class:`~repro.retry.CircuitBreaker`): after ``breaker_threshold``
+consecutive failures for one name, further requests fast-fail with
+:class:`~repro.exceptions.CircuitOpenError` (mapped to a 503 with a
+``Retry-After`` hint) instead of re-running a doomed — possibly slow —
+build on every request.  After ``breaker_reset_seconds`` the circuit goes
+*half-open*: exactly one request probes a real build; success closes the
+circuit, failure re-opens it for another full reset window.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, NoReturn, Optional, Union
 
 from repro.engine.cache import ArtifactCache
 from repro.engine.fingerprint import config_digest, graph_digest
@@ -50,6 +51,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
 )
+from repro.retry import CircuitBreaker
 from repro.testing import faults
 
 __all__ = ["RegistryStats", "SessionRegistry"]
@@ -233,18 +235,6 @@ class RegistryStats:
         }
 
 
-class _Breaker:
-    """Per-graph circuit-breaker state; mutated only under the registry gate."""
-
-    __slots__ = ("failures", "opened_at", "probing", "last_error")
-
-    def __init__(self) -> None:
-        self.failures = 0
-        self.opened_at: Optional[float] = None
-        self.probing = False
-        self.last_error = ""
-
-
 class _Source:
     """One registered graph: how to load it, its config, its build lock."""
 
@@ -256,6 +246,7 @@ class _Source:
         loader: Callable[[], LabeledDiGraph],
         config: EngineConfig,
         graph: Optional[LabeledDiGraph],
+        breaker: CircuitBreaker,
     ) -> None:
         self.name = name
         self.loader = loader
@@ -265,7 +256,7 @@ class _Source:
         self.graph = graph
         self.session_key: Optional[str] = None
         self.lock = threading.Lock()
-        self.breaker = _Breaker()
+        self.breaker = breaker
 
     def load_graph(self) -> LabeledDiGraph:
         """The pinned graph if kept, otherwise a fresh load via the loader."""
@@ -390,6 +381,11 @@ class SessionRegistry:
             loader if loader is not None else (lambda: graph),
             config if config is not None else self._default_config,
             graph,
+            CircuitBreaker(
+                self._breaker_threshold,
+                self._breaker_reset,
+                lambda state: self.stats.observe_circuit_transition(name, state),
+            ),
         )
         with self._gate:
             self._sources[name] = source
@@ -421,7 +417,9 @@ class SessionRegistry:
         # Fast-fail an open circuit *before* queueing on the build lock:
         # callers must not line up behind a probe (or a doomed slow build)
         # just to be told the graph is unavailable.
-        self._breaker_check(source)
+        remaining = source.breaker.open_for()
+        if remaining > 0:
+            self._circuit_open(source, remaining)
         if not source.lock.acquire(blocking=False):
             self.stats.observe_single_flight_wait()
             source.lock.acquire()
@@ -429,102 +427,32 @@ class SessionRegistry:
             session = self._lookup(source)
             if session is not None:
                 return session
-            self._breaker_enter_build(source)
+            if not source.breaker.admit():
+                # Re-check under the build lock: the circuit may have
+                # (re-)opened while this caller waited behind a failed probe.
+                self._circuit_open(source, source.breaker.open_for())
             try:
                 session = self._build(source)
             except CircuitOpenError:
                 raise
             except Exception as exc:
-                self._breaker_record_failure(source, exc)
+                self.stats.observe_build_failure()
+                source.breaker.record_failure(exc)
                 raise
-            self._breaker_record_success(source)
+            source.breaker.record_success()
             return session
         finally:
             source.lock.release()
 
-    # ------------------------------------------------------------------
-    # circuit breaker
-    # ------------------------------------------------------------------
-    def _breaker_remaining(self, breaker: _Breaker) -> float:
-        """Seconds until an open circuit allows a probe; caller holds the gate."""
-        if breaker.opened_at is None:
-            return 0.0
-        return breaker.opened_at + self._breaker_reset - time.perf_counter()
-
-    def _breaker_check(self, source: _Source) -> None:
-        """Fast-fail when ``source``'s circuit is open and not yet expired."""
-        if not self._breaker_threshold:
-            return
-        with self._gate:
-            breaker = source.breaker
-            remaining = self._breaker_remaining(breaker)
-            if breaker.opened_at is None or remaining <= 0:
-                return
-            self.stats.observe_circuit_fast_failure()
-            raise CircuitOpenError(
-                source.name,
-                retry_after=remaining,
-                failures=breaker.failures,
-                last_error=breaker.last_error,
-            )
-
-    def _breaker_enter_build(self, source: _Source) -> None:
-        """Gate a build attempt: fast-fail if still open, else mark the probe."""
-        if not self._breaker_threshold:
-            return
-        with self._gate:
-            breaker = source.breaker
-            if breaker.opened_at is None:
-                return
-            remaining = self._breaker_remaining(breaker)
-            if remaining > 0:
-                # Re-check under the build lock: the circuit may have
-                # (re-)opened while this caller waited behind a failed probe.
-                self.stats.observe_circuit_fast_failure()
-                raise CircuitOpenError(
-                    source.name,
-                    retry_after=remaining,
-                    failures=breaker.failures,
-                    last_error=breaker.last_error,
-                )
-            breaker.probing = True
-        self.stats.observe_circuit_transition(source.name, "half-open")
-
-    def _breaker_record_failure(self, source: _Source, exc: Exception) -> None:
-        """Count a build failure; trip (or re-trip) the circuit when due."""
-        opened = False
-        with self._gate:
-            self.stats.observe_build_failure()
-            if not self._breaker_threshold:
-                return
-            breaker = source.breaker
-            breaker.failures += 1
-            breaker.last_error = str(exc)
-            if breaker.probing or breaker.failures >= self._breaker_threshold:
-                # A failed half-open probe re-opens immediately, whatever
-                # the consecutive count says: the graph just proved it is
-                # still broken.
-                breaker.opened_at = time.perf_counter()
-                breaker.probing = False
-                opened = True
-        if opened:
-            self.stats.observe_circuit_transition(source.name, "open")
-
-    def _breaker_record_success(self, source: _Source) -> None:
-        """A successful build closes the circuit and clears its history."""
-        if not self._breaker_threshold:
-            return
-        closed = False
-        with self._gate:
-            breaker = source.breaker
-            if breaker.opened_at is not None or breaker.probing or breaker.failures:
-                closed = True
-            breaker.failures = 0
-            breaker.opened_at = None
-            breaker.probing = False
-            breaker.last_error = ""
-        if closed:
-            self.stats.observe_circuit_transition(source.name, "closed")
+    def _circuit_open(self, source: _Source, remaining: float) -> NoReturn:
+        """Fast-fail a request for ``source``: its circuit is open."""
+        self.stats.observe_circuit_fast_failure()
+        raise CircuitOpenError(
+            source.name,
+            retry_after=max(0.0, remaining),
+            failures=source.breaker.failures,
+            last_error=source.breaker.last_error,
+        )
 
     def _lookup(self, source: _Source) -> Optional[EstimationSession]:
         """The already-built session for ``source``, refreshing LRU recency."""
@@ -749,16 +677,9 @@ class SessionRegistry:
                     row["domain_size"] = session.domain_size
                     row["memory_bytes"] = session.memory_bytes()
                 if self._breaker_threshold:
-                    breaker = source.breaker
-                    remaining = self._breaker_remaining(breaker)
-                    if breaker.opened_at is None:
-                        state = "closed"
-                    elif remaining > 0:
-                        state = "open"
-                    else:
-                        state = "half-open"
+                    state, remaining = source.breaker.state()
                     row["circuit"] = state
-                    row["consecutive_build_failures"] = breaker.failures
+                    row["consecutive_build_failures"] = source.breaker.failures
                     if state == "open":
                         row["retry_after_seconds"] = remaining
                 rows.append(row)

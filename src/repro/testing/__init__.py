@@ -1,7 +1,7 @@
 """Testing utilities shipped with the library.
 
 :mod:`repro.testing.faults` is the deterministic fault-injection harness
-used by the resilience test suite and ``benchmarks/chaos_smoke.py``: named
+used by the resilience test suite and the chaos smoke scenario: named
 hook points inside the serving stack (registry builds, the scheduler drain
 loop, artifact-cache loads) consult a process-global injector that tests arm
 with exceptions, delays and trigger counts.  In production nothing is armed

@@ -7,12 +7,7 @@ import io
 import pytest
 
 from repro.exceptions import GraphIOError
-from repro.graph.io import (
-    read_edge_list,
-    read_json_graph,
-    write_edge_list,
-    write_json_graph,
-)
+from repro.graph.io import read_edge_list, write_edge_list
 
 
 class TestEdgeList:
@@ -61,32 +56,3 @@ class TestEdgeList:
         write_edge_list(triangle_graph, buffer, header=False)
         assert not buffer.getvalue().startswith("#")
 
-
-class TestJson:
-    def test_round_trip(self, triangle_graph, tmp_path):
-        path = tmp_path / "graph.json"
-        write_json_graph(triangle_graph, path)
-        back = read_json_graph(path)
-        assert back == triangle_graph
-
-    def test_isolated_vertices_preserved(self, tmp_path):
-        from repro.graph.digraph import LabeledDiGraph
-
-        graph = LabeledDiGraph([("a", "x", "b")])
-        graph.add_vertex("lonely")
-        path = tmp_path / "graph.json"
-        write_json_graph(graph, path)
-        back = read_json_graph(path)
-        assert back.vertex_count == 3
-
-    def test_invalid_json_raises(self):
-        with pytest.raises(GraphIOError):
-            read_json_graph(io.StringIO("not json at all"))
-
-    def test_missing_edges_key_raises(self):
-        with pytest.raises(GraphIOError):
-            read_json_graph(io.StringIO('{"vertices": []}'))
-
-    def test_invalid_edge_entry_raises(self):
-        with pytest.raises(GraphIOError):
-            read_json_graph(io.StringIO('{"edges": [["a", "x"]]}'))

@@ -176,12 +176,6 @@ class TestErrorEnvelope:
         assert envelope["code"] == "unknown_graph"
         assert envelope["request_id"]
 
-    def test_unknown_route(self, base):
-        status, envelope = _error(f"{base}{API_PREFIX}/nope", {})
-        assert status == 404
-        assert set(envelope) >= ENVELOPE_KEYS
-        assert envelope["code"] == "not_found"
-
     def test_bad_request(self, base):
         status, envelope = _error(f"{base}{API_PREFIX}/estimate", {"graph": "g"})
         assert status == 400

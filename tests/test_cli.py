@@ -294,6 +294,8 @@ class TestSharedEngineFlagBlock:
             ["catalog", "g.tsv", "-o", "c.npz", "--storage", "sparse"],
             ["engine", "build", "g.tsv", "--storage", "dense"],
             ["serve", "--graph", "g=g.tsv", "--storage", "auto"],
+            ["serve", "--graph", "g=g.tsv", "--verbose"],
+            ["artifact-server", "--dir", "store", "--verbose"],
         ],
     )
     def test_catalog_builder_takes_no_backend_or_worker_flags(self, argv, capsys):

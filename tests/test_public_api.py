@@ -1,8 +1,11 @@
-"""Tests for the public package surface (`repro` and `repro.core`)."""
+"""Tests for the public package surface (`repro` and its subpackages)."""
 
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,10 +22,22 @@ class TestTopLevelExports:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
-    def test_core_all_names_resolve(self):
-        core = importlib.import_module("repro.core")
-        for name in core.__all__:
-            assert hasattr(core, name), name
+    def test_import_repro_leaves_the_serving_stack_unloaded(self):
+        # Library users and the non-serving CLI commands pay for ``import
+        # repro`` only, so it must not drag in the servers and their stdlib.
+        probe = (
+            "import sys, repro; "
+            "print(sorted(m for m in ('asyncio', 'http.server', 'repro.serving') "
+            "if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.stdout.strip() == "[]"
 
     @pytest.mark.parametrize(
         "module_name",
