@@ -821,9 +821,7 @@ def measure_sparse(quick: bool) -> dict[str, object]:
             timeout=SPARSE_SMOKE_TIMEOUT_SECONDS,
         )
     except subprocess.TimeoutExpired as exc:
-        raise FloorFailure(
-            f"smoke.py sparse wedged (> {SPARSE_SMOKE_TIMEOUT_SECONDS}s)"
-        ) from exc
+        raise FloorFailure(f"smoke.py sparse wedged (> {SPARSE_SMOKE_TIMEOUT_SECONDS}s)") from exc
     serve: dict[str, object] = {}
     if sparse_run.returncode == 0:
         for line in reversed(sparse_run.stdout.strip().splitlines()):

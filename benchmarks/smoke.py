@@ -18,7 +18,7 @@ traceback, so a CI log leads with *what* failed.
 
 Usage::
 
-    python benchmarks/smoke.py SCENARIO [--quick] [--port N] [--json PATH|-]
+    python benchmarks/smoke.py SCENARIO [--quick] [--json PATH|-]
 
 ``--json`` writes the scenario's report (``-``: one line on stdout, which
 ``run_all.py`` parses for the sparse scenario).  ``run_all.py`` also runs
@@ -104,7 +104,6 @@ class Smoke:
     def __init__(self, name: str, args: argparse.Namespace) -> None:
         self.name = name
         self.quick = args.quick
-        self.port = args.port
         self.failures: list[str] = []
         self.summary = ""
         self.env = dict(os.environ)
@@ -135,9 +134,7 @@ class Smoke:
         )
 
     @contextmanager
-    def server(
-        self, *argv: str, deadline_seconds: float
-    ) -> Iterator[tuple[str, subprocess.Popen]]:
+    def server(self, *argv: str, deadline_seconds: float) -> Iterator[tuple[str, subprocess.Popen]]:
         """Run ``python -m repro ARGV`` (a server) for the ``with`` block.
 
         Yields the base URL from the server's ``… on http://host:port``
@@ -242,16 +239,32 @@ def smoke_serving(smoke: Smoke) -> dict[str, object]:
     with tempfile.TemporaryDirectory() as tmp:
         graph_path = Path(tmp) / "graph.tsv"
         generate = smoke.cli(
-            "generate", "moreno-health", "--scale", "0.02", "--seed", "5",
-            "-o", str(graph_path),
+            "generate",
+            "moreno-health",
+            "--scale",
+            "0.02",
+            "--seed",
+            "5",
+            "-o",
+            str(graph_path),
         )
         smoke.require(generate.returncode == 0, "could not generate the graph")
         serve = smoke.server(
-            "serve", "--graph", f"moreno={graph_path}", "--port", str(smoke.port),
-            "-k", "2", "--buckets", "16", "--cache-dir", str(Path(tmp) / "cache"),
+            "serve",
+            "--graph",
+            f"moreno={graph_path}",
+            "--port",
+            "0",
+            "-k",
+            "2",
+            "--buckets",
+            "16",
+            "--cache-dir",
+            str(Path(tmp) / "cache"),
             # One worker process: the /stats checks below expect a single
             # server to have seen every request.
-            "--workers", "1",
+            "--workers",
+            "1",
             deadline_seconds=30.0,
         )
         with serve as (url, _):
@@ -444,11 +457,19 @@ def smoke_sparse(smoke: Smoke) -> dict[str, object]:
         graph_path = Path(tmp) / "graph.tsv"
         write_edge_list(graph, graph_path)
         serve = smoke.server(
-            "serve", "--graph", f"big={graph_path}", "--port", str(smoke.port),
-            "-k", str(SPARSE_MAX_LENGTH), "--buckets", "64",
+            "serve",
+            "--graph",
+            f"big={graph_path}",
+            "--port",
+            "0",
+            "-k",
+            str(SPARSE_MAX_LENGTH),
+            "--buckets",
+            "64",
             # One worker process: the RSS measurement below reads this pid's
             # VmHWM and must cover the process that built/served.
-            "--workers", "1",
+            "--workers",
+            "1",
             deadline_seconds=120.0,
         )
         with serve as (url, server):
@@ -534,8 +555,11 @@ def smoke_delta(smoke: Smoke) -> dict[str, object]:
         cache_dir = Path(tmp) / "cache"
 
         graph = ring_labeled_graph(
-            DELTA_LABEL_COUNT, DELTA_LAYER_SIZE, DELTA_EDGES_PER_LABEL,
-            seed=7, name="delta-smoke",
+            DELTA_LABEL_COUNT,
+            DELTA_LAYER_SIZE,
+            DELTA_EDGES_PER_LABEL,
+            seed=7,
+            name="delta-smoke",
         )
         write_edge_list(graph, graph_path)
 
@@ -563,8 +587,14 @@ def smoke_delta(smoke: Smoke) -> dict[str, object]:
 
         # 1. Cold build into the cache.
         build = smoke.cli(
-            "engine", "build", str(graph_path), "-k", str(DELTA_MAX_LENGTH),
-            "--cache-dir", str(cache_dir), "--json",
+            "engine",
+            "build",
+            str(graph_path),
+            "-k",
+            str(DELTA_MAX_LENGTH),
+            "--cache-dir",
+            str(cache_dir),
+            "--json",
         )
         require(build.returncode == 0, f"engine build failed: {build.stderr.strip()}")
         build_row = json.loads(build.stdout)
@@ -572,9 +602,18 @@ def smoke_delta(smoke: Smoke) -> dict[str, object]:
 
         # 2. Apply the delta through the CLI.
         update = smoke.cli(
-            "engine", "update", str(graph_path), "--delta", str(delta_path),
-            "-k", str(DELTA_MAX_LENGTH), "--cache-dir", str(cache_dir),
-            "-o", str(updated_path), "--json",
+            "engine",
+            "update",
+            str(graph_path),
+            "--delta",
+            str(delta_path),
+            "-k",
+            str(DELTA_MAX_LENGTH),
+            "--cache-dir",
+            str(cache_dir),
+            "-o",
+            str(updated_path),
+            "--json",
         )
         require(update.returncode == 0, f"engine update failed: {update.stderr.strip()}")
         row = json.loads(update.stdout)
@@ -646,9 +685,7 @@ def run_obs(quick: bool = False) -> dict[str, object]:
             cache_dir=cache_dir,
             default_config=EngineConfig(max_length=2, bucket_count=8),
         )
-        registry.register(
-            "g", graph=zipf_labeled_graph(40, 160, 3, skew=1.0, seed=13, name="g")
-        )
+        registry.register("g", graph=zipf_labeled_graph(40, 160, 3, skew=1.0, seed=13, name="g"))
         server = make_server(registry, port=0, window_seconds=0.001)
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"
@@ -690,9 +727,7 @@ def run_obs(quick: bool = False) -> dict[str, object]:
                 if scrape_metric(exposition, name, **labels) < minimum
             ]
             report["metrics_missing_series"] = missing
-            report["http_requests_total"] = scrape_metric(
-                exposition, "repro_http_requests_total"
-            )
+            report["http_requests_total"] = scrape_metric(exposition, "repro_http_requests_total")
             report["scheduler_requests_total"] = scrape_metric(
                 exposition, "repro_scheduler_requests_total"
             )
@@ -892,9 +927,7 @@ def run_chaos(quick: bool = False) -> dict[str, object]:
             breaker_threshold=2,
             breaker_reset_seconds=60.0,
         )
-        registry.register(
-            "g", graph=zipf_labeled_graph(40, 160, 3, skew=1.0, seed=13, name="g")
-        )
+        registry.register("g", graph=zipf_labeled_graph(40, 160, 3, skew=1.0, seed=13, name="g"))
         registry.register(
             "doomed",
             graph=zipf_labeled_graph(20, 50, 3, skew=1.0, seed=17, name="doomed"),
@@ -998,9 +1031,7 @@ def run_chaos(quick: bool = False) -> dict[str, object]:
             )
             remote_host, remote_port = artifact_server.server_address[:2]
             remote_url = f"http://{remote_host}:{remote_port}"
-            artifact_thread = threading.Thread(
-                target=artifact_server.serve_forever, daemon=True
-            )
+            artifact_thread = threading.Thread(target=artifact_server.serve_forever, daemon=True)
             artifact_thread.start()
             remote_graph = zipf_labeled_graph(30, 120, 3, skew=1.0, seed=23, name="remote-g")
             remote_config = EngineConfig(max_length=2, bucket_count=8)
@@ -1204,30 +1235,44 @@ def smoke_remote(smoke: Smoke) -> dict[str, object]:
         root = Path(tmp)
         graph_path = root / "graph.tsv"
         generated = cli(
-            "generate", "moreno-health", "--scale", "0.05", "--seed", "5",
-            "-o", str(graph_path),
+            "generate",
+            "moreno-health",
+            "--scale",
+            "0.05",
+            "--seed",
+            "5",
+            "-o",
+            str(graph_path),
         )
         smoke.require(generated.returncode == 0, "could not generate the graph")
 
         store = smoke.server(
-            "artifact-server", "--dir", str(root / "store"), "--port", str(smoke.port),
+            "artifact-server",
+            "--dir",
+            str(root / "store"),
+            "--port",
+            "0",
             deadline_seconds=30.0,
         )
         with store as (url, _):
             # Phase 1: cold build pushes to the store.
             cold = cli(
-                "engine", "build", str(graph_path), "-k", "3",
-                "--cache-dir", str(root / "cacheA"),
-                "--remote-cache", url, "--json",
+                "engine",
+                "build",
+                str(graph_path),
+                "-k",
+                "3",
+                "--cache-dir",
+                str(root / "cacheA"),
+                "--remote-cache",
+                url,
+                "--json",
             )
             check(cold.returncode == 0, f"cold build failed: {cold.stderr.strip()}")
             cold_stats = json.loads(cold.stdout)
             check(cold_stats["catalog_from_cache"] is False, "first build was unexpectedly warm")
             deadline = time.perf_counter() + 30
-            while (
-                len(list((root / "store").iterdir())) < 3
-                and time.perf_counter() < deadline
-            ):
+            while len(list((root / "store").iterdir())) < 3 and time.perf_counter() < deadline:
                 time.sleep(0.1)
             stored = sorted(path.name for path in (root / "store").iterdir())
             check(
@@ -1237,9 +1282,16 @@ def smoke_remote(smoke: Smoke) -> dict[str, object]:
 
             # Phase 2: a fresh cache warm-starts from the store.
             warm = cli(
-                "engine", "build", str(graph_path), "-k", "3",
-                "--cache-dir", str(root / "cacheB"),
-                "--remote-cache", url, "--json",
+                "engine",
+                "build",
+                str(graph_path),
+                "-k",
+                "3",
+                "--cache-dir",
+                str(root / "cacheB"),
+                "--remote-cache",
+                url,
+                "--json",
             )
             check(warm.returncode == 0, f"warm build failed: {warm.stderr.strip()}")
             warm_stats = json.loads(warm.stdout)
@@ -1250,9 +1302,14 @@ def smoke_remote(smoke: Smoke) -> dict[str, object]:
 
             # Phase 3: the presence audit sees every primary on both tiers.
             audit = cli(
-                "engine", "cache", "list",
-                "--cache-dir", str(root / "cacheB"),
-                "--remote", url, "--json",
+                "engine",
+                "cache",
+                "list",
+                "--cache-dir",
+                str(root / "cacheB"),
+                "--remote",
+                url,
+                "--json",
             )
             check(audit.returncode == 0, f"cache audit failed: {audit.stderr.strip()}")
             document = json.loads(audit.stdout)
@@ -1269,9 +1326,16 @@ def smoke_remote(smoke: Smoke) -> dict[str, object]:
 
         # Phase 4: the store is gone; the build must degrade to cold.
         degraded = cli(
-            "engine", "build", str(graph_path), "-k", "3",
-            "--cache-dir", str(root / "cacheC"),
-            "--remote-cache", url, "--json",
+            "engine",
+            "build",
+            str(graph_path),
+            "-k",
+            "3",
+            "--cache-dir",
+            str(root / "cacheC"),
+            "--remote-cache",
+            url,
+            "--json",
         )
         check(
             degraded.returncode == 0,
@@ -1331,12 +1395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="; ".join(f"{name}: {row.help}" for name, row in SCENARIOS.items()),
     )
     parser.add_argument("--quick", action="store_true", help="fewer requests (CI mode)")
-    parser.add_argument(
-        "--port", type=int, default=0, help="server port (default: ephemeral)"
-    )
-    parser.add_argument(
-        "--json", default=None, help="write the report to this path ('-': stdout)"
-    )
+    parser.add_argument("--json", default=None, help="write the report to this path ('-': stdout)")
     args = parser.parse_args(argv)
     smoke = Smoke(args.scenario, args)
     report: dict[str, object] = {}

@@ -55,8 +55,10 @@ def http_demo(registry: SessionRegistry) -> None:
             f"requests/batch)"
         )
         for row in client.graphs():
-            print(f"  graph {row['name']}: built={row['built']} "
-                  f"domain={row.get('domain_size', '-')}")
+            print(
+                f"  graph {row['name']}: built={row['built']} "
+                f"domain={row.get('domain_size', '-')}"
+            )
         print(f"evicted moreno: {client.evict('moreno')}")
     finally:
         server.shutdown()

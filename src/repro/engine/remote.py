@@ -317,15 +317,17 @@ class RemoteArtifactStore:
         """
         path = Path(path)
         name = name if name is not None else path.name
-        if not self._breaker.admit():
-            _REMOTE_PUSH.inc(outcome="breaker_open")
-            return False
+        # Read before asking the breaker: a local read failure says nothing
+        # about the store, and must not take (and then hold) the half-open probe.
         try:
             payload = path.read_bytes()
         except OSError as exc:
             self.push_failures += 1
             _logger.warning("cannot read %s for push: %s", path, exc)
             _REMOTE_PUSH.inc(outcome="error")
+            return False
+        if not self._breaker.admit():
+            _REMOTE_PUSH.inc(outcome="breaker_open")
             return False
         try:
             self._upload(name, payload)

@@ -101,4 +101,3 @@ def write_edge_list(
     finally:
         if should_close:
             handle.close()
-

@@ -245,4 +245,3 @@ def domain_indices_to_paths(
         return []
     lengths, digits = canonical_digit_matrix(len(ordered), max_length, index_array)
     return digit_matrix_to_paths(lengths, digits, ordered)
-

@@ -66,7 +66,6 @@ _NAME_RE = re.compile(
 )
 
 
-
 class ArtifactHTTPServer(ServingHTTPServer):
     """A threading HTTP server exposing one artifact directory."""
 
@@ -100,9 +99,7 @@ class ArtifactHTTPServer(ServingHTTPServer):
         self._digests: dict[str, tuple[tuple[int, int], str]] = {}
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        super().__init__(
-            address, _ArtifactHandler, max_body_bytes=max_body_bytes, metrics=metrics
-        )
+        super().__init__(address, _ArtifactHandler, max_body_bytes=max_body_bytes, metrics=metrics)
 
     def observe(self, *, method: str, status: int) -> None:
         """Feed one answered request into the request counter."""
@@ -243,9 +240,7 @@ class _ArtifactHandler(ServingHandler):
         if digest is None:
             # Deleted between read and stat; hash what was actually read.
             digest = hashlib.sha256(body).hexdigest()
-        self._send(
-            200, body, "application/octet-stream", {"X-Content-Sha256": digest}, head=head
-        )
+        self._send(200, body, "application/octet-stream", {"X-Content-Sha256": digest}, head=head)
         if not head:
             self.server._bytes_served.inc(len(body))
 
@@ -300,9 +295,7 @@ class _ArtifactHandler(ServingHandler):
 
     def _reject_post(self) -> None:
         self.close_connection = True
-        self._send_error_json(
-            405, "artifact store speaks GET/HEAD/PUT", code="method_not_allowed"
-        )
+        self._send_error_json(405, "artifact store speaks GET/HEAD/PUT")
 
 
 def make_artifact_server(

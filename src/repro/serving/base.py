@@ -36,7 +36,7 @@ from typing import Optional
 
 from repro.exceptions import ServingError
 from repro.obs import tracing
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ServingHTTPServer", "ServingHandler"]
 
@@ -70,13 +70,13 @@ class ServingHTTPServer(ThreadingHTTPServer):
         handler: type["ServingHandler"],
         *,
         max_body_bytes: int,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry,
         bind_and_activate: bool = True,
     ) -> None:
         if max_body_bytes < 1:
             raise ServingError("max_body_bytes must be >= 1")
         self.max_body_bytes = max_body_bytes
-        self.metrics = metrics if metrics is not None else default_registry()
+        self.metrics = metrics
         super().__init__(address, handler, bind_and_activate)
 
 

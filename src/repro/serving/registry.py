@@ -433,9 +433,9 @@ class SessionRegistry:
                 self._circuit_open(source, source.breaker.open_for())
             try:
                 session = self._build(source)
-            except CircuitOpenError:
-                raise
-            except Exception as exc:
+            except BaseException as exc:
+                # BaseException too: a probe that leaves without a verdict
+                # would hold the half-open circuit shut for good.
                 self.stats.observe_build_failure()
                 source.breaker.record_failure(exc)
                 raise

@@ -138,6 +138,7 @@ class TestArtifactServer:
         with urllib.request.urlopen(f"{url}/metrics", timeout=5) as response:
             assert b"repro_artifact_requests_total" in response.read()
 
+
 class TestRemoteFetch:
     def test_fetch_hit_adopts_verified_copy(self, url, catalog_file, tmp_path):
         store = _store(url)
@@ -260,6 +261,15 @@ class TestCircuitBreaker:
         started = time.perf_counter()
         assert store.push(catalog_file) is False  # fast-fail
         assert time.perf_counter() - started < 0.010
+
+    def test_unreadable_push_leaves_the_probe_to_the_next_call(self, url, catalog_file, tmp_path):
+        store = _store(url, max_retries=0, breaker_threshold=1, breaker_reset_seconds=0.05)
+        injector.arm("remote.push", error=ConnectionError("down"), times=1)
+        assert store.push(catalog_file) is False  # trips the breaker
+        time.sleep(0.06)  # past the reset window: next call is the probe
+        assert store.push(tmp_path / "missing.npz") is False  # local read fails
+        assert store.push(catalog_file) is True  # ...and the probe was still free
+        assert store.breaker_open is False
 
 
 class TestPush:

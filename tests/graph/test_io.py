@@ -55,4 +55,3 @@ class TestEdgeList:
         buffer = io.StringIO()
         write_edge_list(triangle_graph, buffer, header=False)
         assert not buffer.getvalue().startswith("#")
-

@@ -239,6 +239,26 @@ class TestCircuitBreaker:
             registry.get("g")  # ...and one failure re-opened the circuit
         assert registry.stats.circuits_opened == 2
 
+    def test_probe_ended_by_base_exception_frees_the_next_probe(self):
+        class Abandoned(BaseException):
+            pass
+
+        registry = self._failing_registry(breaker_threshold=1, breaker_reset_seconds=0.15)
+        with pytest.raises(EngineError):
+            registry.get("g")
+        time.sleep(0.2)
+        injector.reset()
+        injector.arm("registry.build", error=Abandoned(), times=1)
+        with pytest.raises(Abandoned):
+            registry.get("g")  # the half-open probe leaves without a result...
+        with pytest.raises(CircuitOpenError):
+            registry.get("g")  # ...which counts as a failed probe
+        assert registry.stats.build_failures == 2
+        time.sleep(0.2)
+        assert registry.get("g").estimate("1/2") >= 0  # the next probe is let in
+        row = next(r for r in registry.describe() if r["name"] == "g")
+        assert row["circuit"] == "closed"
+
     def test_breaker_disabled_never_trips(self):
         registry = self._failing_registry(breaker_threshold=0)
         for _ in range(5):

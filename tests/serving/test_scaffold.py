@@ -57,9 +57,7 @@ class Endpoint:
 def endpoint(request, tmp_path):
     if request.param == "estimate":
         registry = SessionRegistry(default_config=CONFIG)
-        registry.register(
-            "g", graph=zipf_labeled_graph(30, 100, 3, skew=1.0, seed=7, name="g")
-        )
+        registry.register("g", graph=zipf_labeled_graph(30, 100, 3, skew=1.0, seed=7, name="g"))
         server = make_server(registry, port=0, window_seconds=0.005, max_body_bytes=CAP)
         ok = ("POST", "/v1/estimate", json.dumps({"graph": "g", "paths": ["1/2"]}).encode())
         upload = ("POST", "/v1/estimate")
@@ -67,9 +65,7 @@ def endpoint(request, tmp_path):
         close = server.close
     else:
         store = tmp_path / "store"
-        server = make_artifact_server(
-            store, port=0, metrics=MetricsRegistry(), max_body_bytes=CAP
-        )
+        server = make_artifact_server(store, port=0, metrics=MetricsRegistry(), max_body_bytes=CAP)
         (store / "catalog-wire.npz").write_bytes(bytes(range(256)) * 16)
         ok = ("GET", "/v1/artifacts/catalog-wire.npz", None)
         upload = ("PUT", "/v1/artifacts/catalog-big.npz")
@@ -87,9 +83,7 @@ def endpoint(request, tmp_path):
 
 
 def _error(endpoint: Endpoint, method: str, path: str, body: Optional[bytes], **headers):
-    request = urllib.request.Request(
-        endpoint.url + path, data=body, method=method, headers=headers
-    )
+    request = urllib.request.Request(endpoint.url + path, data=body, method=method, headers=headers)
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(request, timeout=30)
     exc = excinfo.value
@@ -177,7 +171,6 @@ class TestBodyRead:
             except socket.timeout:  # a kept-alive connection stays open
                 pass
         assert answer.count(b"HTTP/1.1 ") == 1
-
 
     def test_oversized_body_is_413(self, endpoint):
         status, _, envelope = _error(endpoint, *endpoint.upload, b"x" * (CAP + 1024))
