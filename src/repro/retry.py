@@ -192,6 +192,9 @@ class CircuitBreaker:
     another full window, whatever the consecutive count says — the
     protected thing just proved it is still broken.  ``threshold=0``
     disables the breaker: every call is admitted and nothing is recorded.
+    Every admitted call must end in :meth:`record_success` or
+    :meth:`record_failure`, whatever way it leaves: while the probe's
+    verdict is outstanding, every other caller is turned away.
 
     ``on_transition(state)`` runs outside the lock with each state entered
     (``"open"``, ``"half-open"``, ``"closed"``), so each owner feeds its own
