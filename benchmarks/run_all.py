@@ -1006,8 +1006,8 @@ def measure_remote(quick: bool) -> dict[str, object]:
     """The remote artifact tier (see ``benchmarks/bench_remote.py``).
 
     Runs in-process against a live artifact server on an ephemeral port:
-    one replica's cold build seeds the store, a fresh replica warm-starts
-    from it (floor-gated speedup and estimate equality), then the store
+    replicas' cold builds seed the store, fresh replicas warm-start from
+    it (floor-gated median speedup and estimate equality), then the store
     corrupts every payload in flight and finally dies — builds must
     quarantine the damage, degrade to cold builds, trip the circuit
     breaker, fast-fail once open, and leave no ``.tmp`` debris.

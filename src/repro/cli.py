@@ -28,9 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import signal
 import sys
-import threading
 from typing import Optional, Sequence
 
 from repro.datasets.registry import available_datasets, load_dataset
@@ -600,17 +598,12 @@ def _run_serve(args: argparse.Namespace) -> int:
             inherited_socket=inherited_socket,
         )
 
+    def warm_all(registry: SessionRegistry) -> None:
+        for name, session in registry.warm().items():
+            print(f"warmed {name}: domain={session.domain_size}", file=sys.stderr)
+
     if worker_count > 1:
         from repro.serving.prefork import PreforkServer
-
-        def warm() -> None:
-            # The parent builds (or cache-loads) every session once before
-            # forking, so each worker's first request finds warm artifacts
-            # instead of racing N identical builds.
-            registry = make_registry()
-            for name in registry.names():
-                session = registry.get(name)
-                print(f"warmed {name}: domain={session.domain_size}", file=sys.stderr)
 
         prefork = PreforkServer(
             host=args.host,
@@ -618,7 +611,10 @@ def _run_serve(args: argparse.Namespace) -> int:
             worker_count=worker_count,
             registry_factory=make_registry,
             server_factory=make_worker_server,
-            warm=warm if args.warm else None,
+            # The parent builds (or cache-loads) every session once before
+            # forking, so each worker's first request finds warm artifacts
+            # instead of racing N identical builds.
+            warm=(lambda: warm_all(make_registry())) if args.warm else None,
         )
         names = ", ".join(name for name, _ in graphs)
         print(
@@ -631,9 +627,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     registry = make_registry()
     if args.warm:
-        for name in registry.names():
-            session = registry.get(name)
-            print(f"warmed {name}: domain={session.domain_size}", file=sys.stderr)
+        warm_all(registry)
     server = make_worker_server(registry)
     host, port = server.server_address[:2]
     print(
@@ -641,27 +635,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         f"(window {args.window_ms}ms, max batch {args.max_batch})",
         flush=True,
     )
-
-    # Graceful drain on SIGTERM/SIGINT: stop the accept loop from a side
-    # thread (shutdown() called inline here would deadlock — this thread is
-    # the one blocked inside serve_forever) and let the finally-close drain
-    # the scheduler and in-flight responses before the process exits.
-    def _drain(signum: int, frame: object) -> None:
-        print(f"signal {signum}: draining before shutdown", file=sys.stderr, flush=True)
-        server.begin_drain()  # /readyz flips to 503 before accepts stop
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, _drain)
-        except ValueError:  # pragma: no cover - non-main thread (embedding)
-            pass
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - direct ^C without handler
-        pass
-    finally:
-        server.close()
+    server.serve_until_signalled()
     print("drained; bye", file=sys.stderr, flush=True)
     return 0
 
@@ -717,22 +691,7 @@ def _run_artifact_server(args: argparse.Namespace) -> int:
     )
     host, port = server.server_address[:2]
     print(f"serving artifacts from {args.dir} on http://{host}:{port}", flush=True)
-
-    def _stop(signum: int, frame: object) -> None:
-        print(f"signal {signum}: shutting down", file=sys.stderr, flush=True)
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, _stop)
-        except ValueError:  # pragma: no cover - non-main thread (embedding)
-            pass
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - direct ^C without handler
-        pass
-    finally:
-        server.server_close()
+    server.serve_until_signalled()
     print("artifact server stopped", file=sys.stderr, flush=True)
     return 0
 

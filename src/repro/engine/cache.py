@@ -64,7 +64,7 @@ import uuid
 import zipfile
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -109,6 +109,17 @@ _CACHE_TEMP_CLEANED = Counter(
 #: writer in another process and are left alone.
 _TEMP_MAX_AGE_SECONDS = 3600.0
 
+#: What reading a damaged artifact raises.  ``BadZipFile``: ``np.load`` on a
+#: truncated archive that still begins with the zip magic bytes.
+#: ``zlib.error``: a bit-flip inside a deflated member corrupts the stream
+#: itself, which surfaces before the CRC is ever checked.
+_CORRUPT_ERRORS = (ReproError, OSError, ValueError, zipfile.BadZipFile, zlib.error)
+
+#: The artifact each ``kind`` names in a corrupt-artifact message.
+_ARTIFACT_NAMES = {"catalog": "catalog", "histogram": "histogram", "positions": "position table"}
+
+_Artifact = TypeVar("_Artifact")
+
 
 class ArtifactCache:
     """Directory-backed store for catalogs, histograms and position tables.
@@ -126,7 +137,6 @@ class ArtifactCache:
         root: Union[str, Path],
         *,
         remote: Optional["RemoteArtifactStore"] = None,
-        temp_max_age_seconds: float = _TEMP_MAX_AGE_SECONDS,
     ) -> None:
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
@@ -136,7 +146,7 @@ class ArtifactCache:
         self.quarantined = 0
         self.remote_hits = 0
         self.temp_cleaned = 0
-        self._sweep_temps(temp_max_age_seconds)
+        self._sweep_temps()
 
     @property
     def root(self) -> Path:
@@ -191,47 +201,47 @@ class ArtifactCache:
         """
         faults.fire("cache.load_catalog", key=key)
         path = self.catalog_path(key)
-        if not path.exists() and not self._fetch_remote(path):
-            self.misses += 1
-            _CACHE_MISSES.inc(kind="catalog")
-            return None
-        try:
-            if mmap:
-                catalog = self._load_catalog_mmap(key, path)
-            else:
-                catalog = SelectivityCatalog.load_npz(path)
-        except FileNotFoundError:
-            # Racing eviction/prune between the existence probe and the
-            # open: the artifact is simply gone — a clean miss, not damage.
-            self.misses += 1
-            _CACHE_MISSES.inc(kind="catalog")
-            return None
-        except (
-            ReproError,
-            OSError,
-            ValueError,
-            zipfile.BadZipFile,
-            zlib.error,
-        ) as exc:
-            # BadZipFile: np.load raises it for a truncated/corrupt archive
-            # that still begins with the zip magic bytes.  zlib.error: a
-            # bit-flip inside a deflated member corrupts the stream itself,
-            # which surfaces before the CRC is ever checked.
-            raise self._corrupt_error("catalog", path, exc) from exc
-        self.hits += 1
-        _CACHE_HITS.inc(kind="catalog")
-        self._touch(path)
-        # Sidecars share the npz's recency so LRU pruning never splits the
-        # pair from its archive (a later mmap load would then go stale).
-        for sidecar in self._sidecar_paths(key):
-            if sidecar.exists():
-                self._touch(sidecar)
+        if mmap:
+            catalog = self._load("catalog", path, lambda npz: self._load_catalog_mmap(key, npz))
+        else:
+            catalog = self._load("catalog", path, SelectivityCatalog.load_npz)
+        if catalog is not None:
+            # Sidecars share the npz's recency so LRU pruning never splits
+            # the pair from its archive (a later mmap load would then go
+            # stale).
+            for sidecar in self._sidecar_paths(key):
+                if sidecar.exists():
+                    self._touch(sidecar)
         return catalog
 
-    @staticmethod
-    def _corrupt_error(kind: str, path: Path, cause: Exception) -> EngineError:
-        """An :class:`EngineError` naming a damaged artifact and the cause."""
-        return EngineError(f"corrupt cached {kind} at {path}: {cause}")
+    def _load(
+        self, kind: str, path: Path, read: Callable[[Path], _Artifact]
+    ) -> Optional[_Artifact]:
+        """One cached-artifact lookup: the local file, else the remote tier.
+
+        ``read`` parses the file at ``path``.  A miss (found nowhere)
+        returns ``None``; an artifact that fails to parse raises
+        :class:`EngineError` naming the file, for the session to quarantine;
+        a hit is counted and touched for LRU pruning.
+        """
+        if path.exists() or self._fetch_remote(path):
+            try:
+                artifact = read(path)
+            except FileNotFoundError:
+                # Racing eviction/prune between the existence probe and the
+                # open: the artifact is simply gone — a clean miss, not damage.
+                pass
+            except _CORRUPT_ERRORS as exc:
+                name = _ARTIFACT_NAMES[kind]
+                raise EngineError(f"corrupt cached {name} at {path}: {exc}") from exc
+            else:
+                self.hits += 1
+                _CACHE_HITS.inc(kind=kind)
+                self._touch(path)
+                return artifact
+        self.misses += 1
+        _CACHE_MISSES.inc(kind=kind)
+        return None
 
     def _load_catalog_mmap(self, key: str, npz_path: Path) -> SelectivityCatalog:
         """Catalog with metadata from ``npz_path`` and the mmap'd sidecar pair.
@@ -404,27 +414,8 @@ class ArtifactCache:
     # histogram
     # ------------------------------------------------------------------
     def load_histogram(self, key: str) -> Optional[LabelPathHistogram]:
-        """The cached histogram for ``key``, or ``None`` on a miss.
-
-        A local miss consults the remote tier when one is configured.
-        """
-        path = self.histogram_path(key)
-        if not path.exists() and not self._fetch_remote(path):
-            self.misses += 1
-            _CACHE_MISSES.inc(kind="histogram")
-            return None
-        try:
-            histogram = load_histogram(path)
-        except FileNotFoundError:
-            self.misses += 1
-            _CACHE_MISSES.inc(kind="histogram")
-            return None
-        except (ReproError, OSError, ValueError) as exc:
-            raise self._corrupt_error("histogram", path, exc) from exc
-        self.hits += 1
-        _CACHE_HITS.inc(kind="histogram")
-        self._touch(path)
-        return histogram
+        """The cached histogram for ``key`` (see :meth:`_load`), or ``None``."""
+        return self._load("histogram", self.histogram_path(key), load_histogram)
 
     def store_histogram(self, key: str, histogram: LabelPathHistogram) -> Path:
         """Persist ``histogram`` under ``key`` (atomic); returns the file path."""
@@ -439,27 +430,10 @@ class ArtifactCache:
     # position table
     # ------------------------------------------------------------------
     def load_positions(self, key: str) -> Optional[np.ndarray]:
-        """The cached position table for ``key``, or ``None`` on a miss.
-
-        A local miss consults the remote tier when one is configured.
-        """
-        path = self.positions_path(key)
-        if not path.exists() and not self._fetch_remote(path):
-            self.misses += 1
-            _CACHE_MISSES.inc(kind="positions")
-            return None
-        try:
-            positions = np.load(path, allow_pickle=False)
-        except FileNotFoundError:
-            self.misses += 1
-            _CACHE_MISSES.inc(kind="positions")
-            return None
-        except (OSError, ValueError) as exc:
-            raise self._corrupt_error("position table", path, exc) from exc
-        self.hits += 1
-        _CACHE_HITS.inc(kind="positions")
-        self._touch(path)
-        return positions
+        """The cached position table for ``key`` (see :meth:`_load`), or ``None``."""
+        return self._load(
+            "positions", self.positions_path(key), lambda path: np.load(path, allow_pickle=False)
+        )
 
     def store_positions(self, key: str, positions: np.ndarray) -> Path:
         """Persist a position table under ``key`` (atomic); returns the path."""
@@ -537,20 +511,18 @@ class ArtifactCache:
             path for path in self._root.glob(".*.tmp*") if path.is_file()
         )
 
-    def _sweep_temps(self, max_age_seconds: float) -> None:
+    def _sweep_temps(self) -> None:
         """Delete stale temp files left behind by crashed writers.
 
-        Only temps older than ``max_age_seconds`` go — a younger one may
-        belong to a live build in another process, and its writer's
-        ``os.replace`` would fail if the file vanished underneath it.
-        Counts into :attr:`temp_cleaned` and the process-wide metric.
+        Only temps older than an hour go — a younger one may belong to a
+        live build in another process, and its writer's ``os.replace``
+        would fail if the file vanished underneath it.  Counts into
+        :attr:`temp_cleaned` and the process-wide metric.
         """
-        if max_age_seconds < 0:
-            return
         now = time.time()
         for path in self.temp_files():
             try:
-                if now - path.stat().st_mtime < max_age_seconds:
+                if now - path.stat().st_mtime < _TEMP_MAX_AGE_SECONDS:
                     continue
                 path.unlink()
             except OSError:  # racing sweeper or live writer finishing

@@ -44,7 +44,6 @@ import hashlib
 import http.client
 import logging
 import os
-import random
 import threading
 import time
 import urllib.parse
@@ -67,6 +66,12 @@ ARTIFACTS_ROUTE = "/v1/artifacts"
 
 #: Digest header carried by GET/HEAD answers and PUT requests.
 DIGEST_HEADER = "X-Content-Sha256"
+
+#: The budget, in seconds, of one fetch or push: every attempt and pause.
+DEADLINE_SECONDS = 10.0
+
+#: The statuses that settle a GET or a PUT as a success.
+_OK_STATUSES = {"GET": (200,), "PUT": (200, 201)}
 
 #: Process-wide remote-tier telemetry (shared by every store instance).
 _REMOTE_FETCH = Counter(
@@ -126,10 +131,8 @@ class RemoteArtifactStore:
         max_retries: int = 2,
         backoff_seconds: float = 0.05,
         backoff_max_seconds: float = 1.0,
-        deadline_seconds: Optional[float] = 10.0,
         breaker_threshold: int = 3,
         breaker_reset_seconds: float = 5.0,
-        rng: Optional[random.Random] = None,
     ) -> None:
         if timeout <= 0:
             raise RemoteStoreError("timeout must be > 0")
@@ -149,8 +152,7 @@ class RemoteArtifactStore:
             max_retries=max_retries,
             backoff_seconds=backoff_seconds,
             backoff_max_seconds=backoff_max_seconds,
-            deadline_seconds=deadline_seconds,
-            rng=rng,
+            deadline_seconds=DEADLINE_SECONDS,
         )
         self._breaker = CircuitBreaker(
             breaker_threshold, breaker_reset_seconds, self._breaker_transition
@@ -206,22 +208,19 @@ class RemoteArtifactStore:
                     payload, digest = self._download(name)
                 except _NotFound:
                     self._breaker.record_success()
-                    _REMOTE_FETCH.inc(kind=kind, outcome="miss")
-                    _REMOTE_FETCH_SECONDS.observe(time.perf_counter() - started)
-                    return "miss"
+                    outcome = "miss"
                 except Exception as exc:  # noqa: BLE001 - request path: degrade
                     self._breaker.record_failure(exc)
                     _logger.warning("remote fetch of %s failed: %s", name, exc)
-                    _REMOTE_FETCH.inc(kind=kind, outcome="error")
-                    _REMOTE_FETCH_SECONDS.observe(time.perf_counter() - started)
-                    return "unavailable"
-                self._breaker.record_success()
-                outcome = self._adopt(name, payload, digest, target)
+                    outcome = "error"
+                else:
+                    self._breaker.record_success()
+                    outcome = self._adopt(name, payload, digest, target)
                 _REMOTE_FETCH.inc(kind=kind, outcome=outcome)
                 _REMOTE_FETCH_SECONDS.observe(time.perf_counter() - started)
                 if outcome == "hit":
                     self.hits += 1
-                return outcome
+                return "unavailable" if outcome == "error" else outcome
             finally:
                 self._release_flight(name, flight)
 
@@ -259,44 +258,60 @@ class RemoteArtifactStore:
     def _download(self, name: str) -> tuple[bytes, str]:
         """GET one artifact with retries; returns ``(payload, digest)``.
 
-        Raises :class:`_NotFound` on a clean 404 and
-        :class:`~repro.exceptions.RemoteStoreError` once the retry budget
-        (attempts + deadline) is spent.  The ``remote.fetch`` fault point
-        fires per attempt; payload faults mutate the body *before*
-        verification, so armed damage is always caught by the digest.
+        Raises like :meth:`_exchange`.  Payload faults armed at the
+        ``remote.fetch`` point mutate the body *before* verification, so
+        armed damage is always caught by the digest.
+        """
+        headers, body = self._exchange("GET", name)
+        body = faults.mutate_payload("remote.fetch", body, name=name)
+        digest = headers.get(DIGEST_HEADER.lower(), "")
+        if not digest:
+            # A store that cannot vouch for its payloads is not trusted:
+            # unverifiable bytes are never adopted.
+            raise RemoteStoreError(f"GET {name}: response carries no {DIGEST_HEADER}", status=200)
+        return body, digest
+
+    def _exchange(
+        self, method: str, name: str, payload: Optional[bytes] = None
+    ) -> tuple[dict[str, str], bytes]:
+        """One GET, or PUT of ``payload``, with retries; the answer's headers and body.
+
+        Each attempt fires its fault point first: ``remote.fetch`` for a
+        GET, ``remote.push`` and its payload faults for a PUT.  Transport
+        errors, 429 and 5xx are retried while the policy's budget (attempts
+        + deadline) lasts, then raised as
+        :class:`~repro.exceptions.RemoteStoreError`; any other failed status
+        raises it at once, except a GET's 404, which raises :class:`_NotFound`.
         """
         state = self._policy.start()
         last_error: Optional[RemoteStoreError] = None
+        headers = None if payload is None else {DIGEST_HEADER: hashlib.sha256(payload).hexdigest()}
         while True:
             timeout = state.begin_attempt(self._timeout)
             if timeout is None:
                 raise last_error or RemoteStoreError(
-                    f"GET {name}: deadline exhausted before the first attempt"
+                    f"{method} {name}: deadline exhausted before the first attempt"
                 )
             retry_after: Optional[float] = None
             try:
-                faults.fire("remote.fetch", name=name, method="GET")
-                status, headers, body = self._request("GET", name, timeout=timeout)
+                if payload is None:
+                    faults.fire("remote.fetch", name=name, method=method)
+                    body = None
+                else:
+                    faults.fire("remote.push", name=name)
+                    body = faults.mutate_payload("remote.push", payload, name=name)
+                status, answer, data = self._request(
+                    method, name, timeout=timeout, body=body, headers=headers
+                )
             except (OSError, http.client.HTTPException) as exc:
                 last_error = RemoteStoreError(f"cannot reach {self.base_url}: {exc}")
             else:
-                if status == 200:
-                    body = faults.mutate_payload("remote.fetch", body, name=name)
-                    digest = headers.get(DIGEST_HEADER.lower(), "")
-                    if not digest:
-                        # A store that cannot vouch for its payloads is not
-                        # trusted: unverifiable bytes are never adopted.
-                        raise RemoteStoreError(
-                            f"GET {name}: response carries no {DIGEST_HEADER}",
-                            status=status,
-                        )
-                    return body, digest
-                if status == 404:
+                if status in _OK_STATUSES[method]:
+                    return answer, data
+                if status == 404 and method == "GET":
                     raise _NotFound(name)
-                retry_after = parse_retry_after(headers.get("retry-after"))
-                last_error = RemoteStoreError(
-                    f"GET {name} -> HTTP {status}", status=status
-                )
+                retry_after = parse_retry_after(answer.get("retry-after"))
+                last_error = RemoteStoreError(f"{method} {name} -> HTTP {status}", status=status)
                 if status < 500 and status != 429:
                     raise last_error
             pause = state.next_pause(retry_after=retry_after)
@@ -330,7 +345,7 @@ class RemoteArtifactStore:
             _REMOTE_PUSH.inc(outcome="breaker_open")
             return False
         try:
-            self._upload(name, payload)
+            self._exchange("PUT", name, payload)
         except Exception as exc:  # noqa: BLE001 - best-effort by contract
             self._breaker.record_failure(exc)
             self.push_failures += 1
@@ -369,45 +384,6 @@ class RemoteArtifactStore:
             pending = list(self._pushes)
         for thread in pending:
             thread.join(timeout=timeout)
-
-    def _upload(self, name: str, payload: bytes) -> None:
-        """PUT with retries; raises once the retry budget is spent."""
-        state = self._policy.start()
-        last_error: Optional[RemoteStoreError] = None
-        digest = hashlib.sha256(payload).hexdigest()
-        while True:
-            timeout = state.begin_attempt(self._timeout)
-            if timeout is None:
-                raise last_error or RemoteStoreError(
-                    f"PUT {name}: deadline exhausted before the first attempt"
-                )
-            retry_after: Optional[float] = None
-            try:
-                faults.fire("remote.push", name=name)
-                body = faults.mutate_payload("remote.push", payload, name=name)
-                status, headers, _ = self._request(
-                    "PUT",
-                    name,
-                    timeout=timeout,
-                    body=body,
-                    headers={DIGEST_HEADER: digest},
-                )
-            except (OSError, http.client.HTTPException) as exc:
-                last_error = RemoteStoreError(f"cannot reach {self.base_url}: {exc}")
-            else:
-                if status in (200, 201):
-                    return
-                retry_after = parse_retry_after(headers.get("retry-after"))
-                last_error = RemoteStoreError(
-                    f"PUT {name} -> HTTP {status}", status=status
-                )
-                if status < 500 and status != 429:
-                    raise last_error
-            pause = state.next_pause(retry_after=retry_after)
-            if pause is None:
-                raise last_error
-            if pause > 0:
-                time.sleep(pause)
 
     # ------------------------------------------------------------------
     # operator surfaces (raise on failure)

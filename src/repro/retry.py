@@ -70,9 +70,6 @@ class RetryPolicy:
         Default budget for one logical call including every retry and
         pause; ``None`` means attempts alone bound the call.  Individual
         calls may override via :meth:`start`.
-    rng:
-        Jitter source (a :class:`random.Random`); injectable for
-        deterministic tests.
     """
 
     __slots__ = ("max_retries", "backoff", "backoff_max", "deadline", "rng")
@@ -84,7 +81,6 @@ class RetryPolicy:
         backoff_seconds: float = 0.05,
         backoff_max_seconds: float = 2.0,
         deadline_seconds: Optional[float] = None,
-        rng: Optional[random.Random] = None,
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -96,7 +92,7 @@ class RetryPolicy:
         self.backoff = backoff_seconds
         self.backoff_max = backoff_max_seconds
         self.deadline = deadline_seconds
-        self.rng = rng if rng is not None else random.Random()
+        self.rng = random.Random()
 
     def start(self, *, deadline_seconds: Optional[float] = None) -> "RetryState":
         """Open the retry state for one logical call.

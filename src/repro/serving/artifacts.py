@@ -174,10 +174,12 @@ class _ArtifactHandler(ServingHandler):
     server_version = "repro-artifacts/1.0"
 
     def _answer(self, method: str, route: "Callable[[], None]") -> None:
-        """Run one routed request, then count it by method and status."""
+        """Run one routed request behind the fault barrier, then count it."""
         self._begin_request()
         try:
             route()
+        except Exception as exc:  # noqa: BLE001 - the fault barrier
+            self._answer_fault(exc)
         finally:
             self.server.observe(method=method, status=self._status)
 

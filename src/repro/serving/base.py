@@ -22,23 +22,33 @@ goes on the wire is decided once:
 * request bodies: 400 for a bad ``Content-Length``, 413 (and a closed
   connection, since the unread body desyncs the stream) over the server's
   ``max_body_bytes``;
+* one fault barrier: what a route raises is answered from the handler's
+  :attr:`ServingHandler.errors` table, or as a 500 ``internal`` logged
+  with its traceback — never a dropped connection;
 * no stdlib access log: ``repro serve`` logs one structured trace line per
   request instead;
 * ``GET /metrics``: the Prometheus text exposition of the server's metrics
-  registry.
+  registry;
+* the lifecycle: :meth:`ServingHTTPServer.serve_until_signalled`.
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import signal
+import sys
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from repro.exceptions import ServingError
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["ServingHTTPServer", "ServingHandler"]
+__all__ = ["ErrorRow", "ServingHTTPServer", "ServingHandler"]
+
+_logger = logging.getLogger("repro.serving")
 
 #: Machine-readable envelope code per status, for call sites that do not
 #: name a more specific one.
@@ -52,6 +62,20 @@ _DEFAULT_CODES = {
     503: "unavailable",
     504: "timeout",
 }
+
+
+class ErrorRow(NamedTuple):
+    """How the fault barrier answers the exceptions of one or more classes.
+
+    ``retry_after`` is the hint in seconds or a function of the exception;
+    ``message`` replaces ``str(exc)`` as the envelope's ``error``.
+    """
+
+    raised: Union[type[Exception], tuple[type[Exception], ...]]
+    status: int
+    code: str
+    retry_after: Union[float, Callable[[Exception], float], None] = None
+    message: Optional[str] = None
 
 
 class ServingHTTPServer(ThreadingHTTPServer):
@@ -79,6 +103,34 @@ class ServingHTTPServer(ThreadingHTTPServer):
         self.metrics = metrics
         super().__init__(address, handler, bind_and_activate)
 
+    def begin_drain(self) -> None:
+        """Flip readiness ahead of shutdown (this base has none to flip)."""
+
+    def close(self) -> None:
+        """Release the listening socket."""
+        self.server_close()
+
+    def serve_until_signalled(self) -> None:
+        """Serve until SIGTERM or SIGINT, then :meth:`close`.
+
+        The signal handler says so on stderr, calls :meth:`begin_drain`
+        while the accept loop still runs, and stops the loop from a side
+        thread: ``shutdown()`` on this thread, the one blocked in
+        ``serve_forever``, would deadlock.
+        """
+
+        def stop(signum: int, frame: object) -> None:
+            print(f"signal {signum}: draining before shutdown", file=sys.stderr, flush=True)
+            self.begin_drain()
+            threading.Thread(target=self.shutdown, daemon=True).start()
+
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, stop)
+        try:
+            self.serve_forever()
+        finally:
+            self.close()
+
 
 class ServingHandler(BaseHTTPRequestHandler):
     """Request handler base: request ids, senders, the error envelope, bodies."""
@@ -87,6 +139,10 @@ class ServingHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     wbufsize = -1
+
+    #: The fault barrier's table: the first row whose ``raised`` matches
+    #: answers, so subclasses come first; no match is a 500 ``internal``.
+    errors: tuple[ErrorRow, ...] = ()
 
     #: Filled per request by :meth:`_begin_request`; the defaults keep the
     #: error paths that run before it (malformed request lines) safe.
@@ -101,6 +157,23 @@ class ServingHandler(BaseHTTPRequestHandler):
         rid = (self.headers.get("X-Request-Id") or "").strip()
         self._request_id = rid if rid else tracing.new_request_id()
         self._status = 0
+
+    def _answer_fault(self, exc: Exception) -> None:
+        """The fault barrier, called from the per-request ``except`` clause.
+
+        An answer already under way (the client hung up mid-write) cannot
+        be sent twice: re-raise, and the stdlib server drops the connection.
+        """
+        if self._status:
+            raise
+        for row in self.errors:
+            if isinstance(exc, row.raised):
+                hint = row.retry_after(exc) if callable(row.retry_after) else row.retry_after
+                message = row.message or str(exc)
+                self._send_error_json(row.status, message, code=row.code, retry_after=hint)
+                return
+        _logger.error("internal error answering %s %s", self.command, self.path, exc_info=exc)
+        self._send_error_json(500, f"internal error: {exc!r}")
 
     def _send(
         self,

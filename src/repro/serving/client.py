@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import random
 import sys
 import time
 import urllib.error
@@ -70,9 +69,6 @@ class ServiceClient:
         Default budget for one logical call including every retry and
         pause; ``None`` means attempts alone bound the call.  Individual
         calls may override via their ``deadline_seconds`` argument.
-    rng:
-        Jitter source (a :class:`random.Random`); injectable for
-        deterministic tests.
     verbose:
         When true, narrate every attempt (request id, status, per-attempt
         latency, pauses) to ``sys.stderr``.
@@ -87,7 +83,6 @@ class ServiceClient:
         backoff_seconds: float = 0.05,
         backoff_max_seconds: float = 2.0,
         deadline_seconds: Optional[float] = None,
-        rng: Optional[random.Random] = None,
         verbose: bool = False,
     ) -> None:
         if timeout <= 0:
@@ -106,7 +101,6 @@ class ServiceClient:
             backoff_seconds=backoff_seconds,
             backoff_max_seconds=backoff_max_seconds,
             deadline_seconds=deadline_seconds,
-            rng=rng,
         )
         self._verbose = verbose
         self.last_request_id: Optional[str] = None

@@ -46,35 +46,38 @@ Request counts and latency feed ``repro_http_requests_total`` /
 
 Error mapping
 -------------
-Every non-2xx response carries the envelope of :mod:`repro.serving.base`:
+Every non-2xx response carries the envelope of :mod:`repro.serving.base`.
+A route answers its own request-shape errors (bad JSON, a missing
+``graph``, bad ``paths``, an empty or invalid delta: 400 ``bad_request``),
+the scaffold unknown routes (404 ``not_found``) and oversized bodies (413
+``body_too_large``).  Whatever a route *raises* is answered from one
+table, ``_ERRORS``, the same on every route, first match wins:
 
-==========================================  ==============================
-condition                                   response (``code``)
-==========================================  ==============================
-unknown graph                               404 (``unknown_graph``)
-unknown route                               404 (``not_found``)
-bad request / path / delta                  400 (``bad_request``)
-body over ``max_body_bytes``                413 (``body_too_large``)
-per-graph admission budget hit              429 + ``Retry-After``
-                                            (``graph_overloaded``)
-circuit open for the graph                  503 + ``Retry-After``
-                                            (``circuit_open``)
-global queue full / closing / crashed       503 + ``Retry-After``
-                                            (``unavailable``)
-batch timeout                               504 (``timeout``)
-unexpected handler fault                    500 (``internal``)
-==========================================  ==============================
+===================================================  ==========================
+raised                                               response (``code``)
+===================================================  ==========================
+``GraphOverloadedError``                             429 (``graph_overloaded``)
+``CircuitOpenError``                                 503 (``circuit_open``)
+``ServiceOverloadedError``, ``ServiceClosedError``,  503 (``unavailable``)
+``SchedulerCrashError``
+``UnknownGraphError``                                404 (``unknown_graph``)
+``concurrent.futures.TimeoutError``                  504 (``timeout``)
+``ReproError``, ``KeyError``                         400 (``bad_request``)
+any route, unexpected fault                          500 (``internal``), logged
+===================================================  ==========================
 
-429 means *this graph* is over its admission budget — other graphs are
-still being served, retry against the same server after the hint.  503
-means the *whole service* cannot take the request right now (shared queue
-full, graph circuit open, shutting down) — retry later or elsewhere.
-:class:`~repro.serving.client.ServiceClient` honours the decimal
-``Retry-After`` as a lower bound on its backoff pause.
+The 429 and 503 rows carry ``Retry-After``: :data:`RETRY_AFTER_SECONDS`,
+or the open circuit's own hint.  429 means *this graph* is over its
+admission budget — other graphs are still being served, retry against the
+same server after the hint.  503 means the *whole service* cannot take the
+request right now (shared queue full, graph circuit open, shutting down) —
+retry later or elsewhere.  :class:`~repro.serving.client.ServiceClient`
+honours the decimal ``Retry-After`` as a lower bound on its backoff pause.
 
-On SIGTERM/SIGINT the CLI calls :meth:`EstimationHTTPServer.close`, which
-drains gracefully: stop accepting connections, finish the scheduler's
-queue, give in-flight handlers a bounded window to answer, then close.
+On SIGTERM/SIGINT :meth:`~repro.serving.base.ServingHTTPServer.serve_until_signalled`
+calls :meth:`EstimationHTTPServer.close`, which drains gracefully: stop
+accepting connections, finish the scheduler's queue, give in-flight
+handlers a bounded window to answer, then close.
 """
 
 from __future__ import annotations
@@ -108,38 +111,57 @@ from repro.obs.metrics import (
     default_registry,
 )
 from repro.obs.tracing import Trace, TraceStore
-from repro.serving.base import ServingHandler, ServingHTTPServer
+from repro.serving.base import ErrorRow, ServingHandler, ServingHTTPServer
 from repro.serving.registry import SessionRegistry
-from repro.serving.scheduler import EstimateScheduler, ServiceStats
+from repro.serving.scheduler import EstimateScheduler
 
 __all__ = ["API_PREFIX", "EstimationHTTPServer", "make_server"]
 
 #: The versioned prefix of the API surface.
 API_PREFIX = "/v1"
 
+#: Seconds a handler waits for its estimate before answering 504.
+REQUEST_TIMEOUT_SECONDS = 30.0
+
+#: The ``Retry-After`` hint, in seconds, on 429 and 503 backpressure answers.
+RETRY_AFTER_SECONDS = 0.05
+
+#: The fault barrier's table (see "Error mapping" above).  Subclasses come
+#: first: ``UnknownGraphError`` is both a ``ReproError`` and a ``KeyError``
+#: (the engine raises unknown labels as ``KeyError`` subclasses).
+_ERRORS = (
+    ErrorRow(GraphOverloadedError, 429, "graph_overloaded", RETRY_AFTER_SECONDS),
+    ErrorRow(CircuitOpenError, 503, "circuit_open", lambda exc: exc.retry_after),
+    ErrorRow(
+        (ServiceOverloadedError, ServiceClosedError, SchedulerCrashError),
+        503,
+        "unavailable",
+        RETRY_AFTER_SECONDS,
+    ),
+    ErrorRow(UnknownGraphError, 404, "unknown_graph"),
+    ErrorRow(
+        FutureTimeoutError,
+        504,
+        "timeout",
+        message=f"estimate timed out after {REQUEST_TIMEOUT_SECONDS}s",
+    ),
+    ErrorRow((ReproError, KeyError), 400, "bad_request"),
+)
+
 #: The API routes that live under :data:`API_PREFIX`.  Their unversioned
 #: spellings were removed after one deprecation release: they now 404 (and
 #: are counted, so a straggler client shows up on dashboards).
-_API_ROUTES = frozenset(
-    {"/stats", "/graphs", "/estimate", "/warm", "/evict", "/update"}
-)
-
-#: Routes whose (normalized, unversioned) names may appear as a metric
-#: label; anything else is collapsed into ``other`` so a URL-scanning
-#: client cannot explode the label cardinality.
-_KNOWN_ROUTES = frozenset(
-    {
-        "/healthz",
-        "/readyz",
-        "/metrics",
-        "/traces",
-    }
-) | _API_ROUTES
+_API_ROUTES = frozenset({"/stats", "/graphs", "/estimate", "/warm", "/evict", "/update"})
 
 #: Observability endpoints are not themselves recorded as traces — a
 #: scraper polling ``/metrics`` every second would crowd real requests
 #: out of the recent-traces window.
 _UNTRACED_ROUTES = frozenset({"/healthz", "/readyz", "/metrics", "/traces"})
+
+#: Routes whose (normalized, unversioned) names may appear as a metric
+#: label; anything else is collapsed into ``other`` so a URL-scanning
+#: client cannot explode the label cardinality.
+_KNOWN_ROUTES = _UNTRACED_ROUTES | _API_ROUTES
 
 
 class EstimationHTTPServer(ServingHTTPServer):
@@ -151,24 +173,18 @@ class EstimationHTTPServer(ServingHTTPServer):
         registry: SessionRegistry,
         scheduler: EstimateScheduler,
         *,
-        request_timeout: float = 30.0,
         max_body_bytes: int = 8 * 2**20,
-        retry_after_seconds: float = 0.05,
         metrics: Optional[MetricsRegistry] = None,
-        traces: Optional[TraceStore] = None,
-        health: Optional[HealthState] = None,
         inherited_socket: Optional[socket.socket] = None,
     ) -> None:
         self.registry = registry
         self.scheduler = scheduler
-        self.request_timeout = request_timeout
-        self.retry_after_seconds = retry_after_seconds
         self._serving = False
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         metrics = metrics if metrics is not None else default_registry()
-        self.traces = traces if traces is not None else TraceStore()
-        self.health = health if health is not None else HealthState()
+        self.traces = TraceStore()
+        self.health = HealthState()
         self.health.add_check("scheduler_worker_alive", scheduler.worker_alive)
         self.health.add_check("scheduler_accepting", lambda: not scheduler.is_closed)
         self._http_requests = Counter(
@@ -224,10 +240,10 @@ class EstimationHTTPServer(ServingHTTPServer):
     def begin_drain(self) -> None:
         """Flip readiness to *unready* ahead of a graceful shutdown.
 
-        Called by the CLI's signal handler (and by :meth:`close` itself)
-        *before* the accept loop stops, so a load balancer scraping
-        ``/readyz`` sees the drain and steers traffic away while requests
-        are still being answered.
+        Called by the signal handler of :meth:`serve_until_signalled` (and
+        by :meth:`close` itself) *before* the accept loop stops, so a load
+        balancer scraping ``/readyz`` sees the drain and steers traffic
+        away while requests are still being answered.
         """
         self.health.begin_drain()
 
@@ -281,6 +297,7 @@ class EstimationHTTPServer(ServingHTTPServer):
 class _Handler(ServingHandler):
     server: EstimationHTTPServer  # narrowed for attribute access
     server_version = "repro-serve/1.0"
+    errors = _ERRORS
 
     # ------------------------------------------------------------------
     # plumbing
@@ -301,7 +318,8 @@ class _Handler(ServingHandler):
         present (so client and server logs correlate) and is echoed on the
         response either way.  The trace is active for the whole handler, so
         the scheduler submit path captures it into the queued request and
-        the worker's spans land here.
+        the worker's spans land here.  Whatever the route raises is answered
+        by the fault barrier (:attr:`errors`).
         """
         self._begin_request()
         normalized = self._normalized_path()
@@ -315,6 +333,8 @@ class _Handler(ServingHandler):
             else:
                 with tracing.activate(trace):
                     route_fn()
+        except Exception as exc:  # noqa: BLE001 - the fault barrier
+            self._answer_fault(exc)
         finally:
             elapsed = time.perf_counter() - started
             self.server.observe_http(
@@ -452,57 +472,8 @@ class _Handler(ServingHandler):
                 400, 'need "paths" (non-empty list of strings) or "path"'
             )
             return
-        try:
-            future = self.server.scheduler.submit_many(graph, paths)
-            estimates = future.result(timeout=self.server.request_timeout)
-        except GraphOverloadedError as exc:
-            # This graph is over its own admission budget while the rest of
-            # the service still has room: 429, not 503.
-            self._send_error_json(
-                429,
-                str(exc),
-                code="graph_overloaded",
-                retry_after=self.server.retry_after_seconds,
-            )
-            return
-        except CircuitOpenError as exc:
-            self._send_error_json(
-                503, str(exc), code="circuit_open", retry_after=exc.retry_after
-            )
-            return
-        except (ServiceOverloadedError, ServiceClosedError, SchedulerCrashError) as exc:
-            # All transient server-side conditions: tell the client to
-            # retry elsewhere/later, don't blame the request.
-            self._send_error_json(
-                503,
-                str(exc),
-                code="unavailable",
-                retry_after=self.server.retry_after_seconds,
-            )
-            return
-        except UnknownGraphError as exc:
-            self._send_error_json(404, str(exc), code="unknown_graph")
-            return
-        except FutureTimeoutError:
-            self._send_error_json(
-                504,
-                f"estimate timed out after {self.server.request_timeout}s",
-                code="timeout",
-            )
-            return
-        except ReproError as exc:
-            self._send_error_json(400, str(exc), code="bad_request")
-            return
-        except KeyError as exc:
-            # Unknown labels surface as KeyError subclasses from the engine.
-            self._send_error_json(400, str(exc), code="bad_request")
-            return
-        except Exception as exc:  # noqa: BLE001 - last-resort fault barrier
-            # Anything unexpected must still produce a response: a dropped
-            # connection looks like a network fault to the client and gives
-            # the operator nothing to debug with.
-            self._send_error_json(500, f"internal error: {exc!r}")
-            return
+        future = self.server.scheduler.submit_many(graph, paths)
+        estimates = future.result(timeout=REQUEST_TIMEOUT_SECONDS)
         self._send_json(
             200,
             {"graph": graph, "count": len(estimates), "estimates": estimates},
@@ -512,19 +483,7 @@ class _Handler(ServingHandler):
         graph = self._graph_name(document)
         if graph is None:
             return
-        try:
-            session = self.server.registry.get(graph)
-        except UnknownGraphError as exc:
-            self._send_error_json(404, str(exc), code="unknown_graph")
-            return
-        except CircuitOpenError as exc:
-            self._send_error_json(
-                503, str(exc), code="circuit_open", retry_after=exc.retry_after
-            )
-            return
-        except ReproError as exc:
-            self._send_error_json(400, str(exc), code="bad_request")
-            return
+        session = self.server.registry.get(graph)
         self._send_json(200, {"graph": graph, "stats": session.stats.as_row()})
 
     def _handle_update(self, document: dict[str, object]) -> None:
@@ -539,25 +498,13 @@ class _Handler(ServingHandler):
         if not delta:
             self._send_error_json(400, 'delta needs "add" and/or "remove" triples')
             return
-        try:
-            row = self.server.registry.update_graph(graph, delta)
-        except UnknownGraphError as exc:
-            self._send_error_json(404, str(exc), code="unknown_graph")
-            return
-        except ReproError as exc:
-            self._send_error_json(400, str(exc), code="bad_request")
-            return
-        self._send_json(200, row)
+        self._send_json(200, self.server.registry.update_graph(graph, delta))
 
     def _handle_evict(self, document: dict[str, object]) -> None:
         graph = self._graph_name(document)
         if graph is None:
             return
-        try:
-            evicted = self.server.registry.evict(graph)
-        except UnknownGraphError as exc:
-            self._send_error_json(404, str(exc), code="unknown_graph")
-            return
+        evicted = self.server.registry.evict(graph)
         self._send_json(200, {"graph": graph, "evicted": evicted})
 
 
@@ -568,16 +515,10 @@ def make_server(
     port: int = 8080,
     window_seconds: float = 0.002,
     max_batch_paths: int = 512,
-    min_coalesce_paths: int = 64,
     max_pending: int = 4096,
     max_pending_per_graph: Optional[int] = None,
-    request_timeout: float = 30.0,
     max_body_bytes: int = 8 * 2**20,
-    retry_after_seconds: float = 0.05,
-    stats: Optional[ServiceStats] = None,
     metrics: Optional[MetricsRegistry] = None,
-    traces: Optional[TraceStore] = None,
-    health: Optional[HealthState] = None,
     inherited_socket: Optional[socket.socket] = None,
 ) -> EstimationHTTPServer:
     """Build a ready-to-run server (call ``serve_forever`` / ``close``).
@@ -588,30 +529,20 @@ def make_server(
     ``inherited_socket`` — a socket bound and listening before the fork —
     and the server adopts it instead of binding ``host:port`` itself.
     """
-    if request_timeout <= 0:
-        raise ServingError("request_timeout must be > 0")
-    if retry_after_seconds < 0:
-        raise ServingError("retry_after_seconds must be >= 0")
     scheduler = EstimateScheduler(
         registry,
         window_seconds=window_seconds,
         max_batch_paths=max_batch_paths,
-        min_coalesce_paths=min_coalesce_paths,
         max_pending=max_pending,
         max_pending_per_graph=max_pending_per_graph,
-        stats=stats,
     )
     try:
         return EstimationHTTPServer(
             (host, port),
             registry,
             scheduler,
-            request_timeout=request_timeout,
             max_body_bytes=max_body_bytes,
-            retry_after_seconds=retry_after_seconds,
             metrics=metrics,
-            traces=traces,
-            health=health,
             inherited_socket=inherited_socket,
         )
     except (OSError, ServingError):

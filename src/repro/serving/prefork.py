@@ -21,7 +21,7 @@ Lifecycle
 ---------
 * A worker that exits unexpectedly is respawned; consecutive fast deaths
   back the respawn off exponentially (``backoff_seconds`` doubling up to
-  ``backoff_max_seconds``) so a crash-looping worker cannot spin the
+  :data:`BACKOFF_MAX_SECONDS`) so a crash-looping worker cannot spin the
   parent at 100% CPU.
 * ``SIGTERM``/``SIGINT`` to the parent forwards ``SIGTERM`` to every
   worker; each worker's own handler flips ``/readyz`` to 503 first
@@ -49,6 +49,12 @@ from typing import Callable, Optional
 from repro.exceptions import ServingError
 
 __all__ = ["PreforkServer"]
+
+#: The cap on the respawn pause of a crash-looping worker, in seconds.
+BACKOFF_MAX_SECONDS = 2.0
+
+#: A worker that lived this many seconds resets the respawn backoff.
+STABLE_SECONDS = 5.0
 
 
 def _bind_socket(
@@ -100,10 +106,11 @@ class PreforkServer:
         Optional zero-argument callable the parent runs once before
         forking (typically: build every session so workers find a warm
         artifact cache).
-    backoff_seconds / backoff_max_seconds / stable_seconds:
-        Respawn backoff: a worker that lived less than ``stable_seconds``
-        doubles the pause before its replacement is forked, capped at
-        ``backoff_max_seconds``; a stable worker resets the schedule.
+    backoff_seconds:
+        Respawn backoff: a worker that lived less than
+        :data:`STABLE_SECONDS` doubles the pause before its replacement is
+        forked, capped at :data:`BACKOFF_MAX_SECONDS`; a stable worker
+        resets the schedule.
     drain_seconds:
         How long a terminating parent waits for workers to drain before
         escalating to ``SIGKILL``.
@@ -119,8 +126,6 @@ class PreforkServer:
         server_factory: Callable[..., object],
         warm: Optional[Callable[[], None]] = None,
         backoff_seconds: float = 0.1,
-        backoff_max_seconds: float = 2.0,
-        stable_seconds: float = 5.0,
         drain_seconds: float = 15.0,
     ) -> None:
         if worker_count < 1:
@@ -132,8 +137,6 @@ class PreforkServer:
         self._server_factory = server_factory
         self._warm = warm
         self._backoff = backoff_seconds
-        self._backoff_max = backoff_max_seconds
-        self._stable_seconds = stable_seconds
         self._drain_seconds = drain_seconds
         self._reuse_port = hasattr(socket, "SO_REUSEPORT")
         self._socket = _bind_socket(
@@ -182,19 +185,8 @@ class PreforkServer:
         exit_code = 0
         try:
             sock = self._worker_socket()
-            registry = self._registry_factory()
-            server = self._server_factory(registry, sock)
-
-            def _drain(signum: int, frame: object) -> None:
-                server.begin_drain()  # /readyz flips to 503 first
-                threading.Thread(target=server.shutdown, daemon=True).start()
-
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                signal.signal(signum, _drain)
-            try:
-                server.serve_forever()
-            finally:
-                server.close()
+            server = self._server_factory(self._registry_factory(), sock)
+            server.serve_until_signalled()
         except BaseException as exc:  # noqa: BLE001 - process boundary
             print(
                 f"[prefork] worker pid={os.getpid()} crashed: "
@@ -276,11 +268,11 @@ class PreforkServer:
                 continue
             lifetime = time.monotonic() - born
             code = os.waitstatus_to_exitcode(status)
-            if lifetime < self._stable_seconds:
+            if lifetime < STABLE_SECONDS:
                 failures += 1
             else:
                 failures = 0
-            pause = min(self._backoff_max, self._backoff * (2 ** max(0, failures - 1)))
+            pause = min(BACKOFF_MAX_SECONDS, self._backoff * (2 ** max(0, failures - 1)))
             print(
                 f"[prefork] worker pid={pid} exited "
                 f"({'signal ' + str(-code) if code < 0 else 'code ' + str(code)}) "

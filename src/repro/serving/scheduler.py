@@ -11,7 +11,7 @@ for more to arrive, groups everything by session, and issues **one**
 results.
 
 Backpressure is the bounded queue: when ``max_pending`` requests are already
-waiting, ``submit`` raises
+waiting, ``submit_many`` raises
 :class:`~repro.exceptions.ServiceOverloadedError` instead of queueing more
 work than the service can absorb (the HTTP layer maps this to 503 with a
 ``Retry-After`` hint).  An optional per-graph admission budget
@@ -66,6 +66,12 @@ PathLike = Union[str, LabelPath]
 
 #: Queue sentinel that tells the worker to exit after draining earlier work.
 _SHUTDOWN = object()
+
+#: Once a *drained* queue has already yielded this many paths, the batch
+#: executes at once instead of waiting out the window: the window only
+#: delays genuinely sparse traffic (where waiting is what buys coalescing),
+#: never a flood that has already coalesced.
+MIN_COALESCE_PATHS = 64
 
 
 class ServiceStats:
@@ -229,12 +235,11 @@ class ServiceStats:
 class _Request:
     """One queued estimate: a path batch bound to a graph and a future."""
 
-    __slots__ = ("graph", "paths", "scalar", "future", "enqueued", "released", "trace")
+    __slots__ = ("graph", "paths", "future", "enqueued", "released", "trace")
 
-    def __init__(self, graph: str, paths: list[PathLike], scalar: bool) -> None:
+    def __init__(self, graph: str, paths: list[PathLike]) -> None:
         self.graph = graph
         self.paths = paths
-        self.scalar = scalar
         self.future: "Future[object]" = Future()
         self.enqueued = time.perf_counter()
         # Whether the per-graph admission counter has been released for this
@@ -262,11 +267,6 @@ class EstimateScheduler:
         Path budget per batch; the worker stops collecting once reached
         (requests are never split across batches, so a batch can overshoot
         by the last request's size).
-    min_coalesce_paths:
-        Once a *drained* queue has already yielded this many paths, the
-        batch executes immediately instead of waiting out the window.  The
-        window therefore only delays genuinely sparse traffic (where waiting
-        is what buys coalescing), never a flood that has already coalesced.
     max_pending:
         Bound of the request queue — the backpressure limit (maps to a 503
         with ``Retry-After`` at the HTTP layer: the whole service is full).
@@ -277,9 +277,6 @@ class EstimateScheduler:
         while the global queue has room, so one hot graph cannot starve
         every other session's slice of the queue.  ``None`` disables the
         check.
-    stats:
-        Optional shared :class:`ServiceStats` (the HTTP layer passes one so
-        every front-end feeds the same counters).
     """
 
     def __init__(
@@ -288,17 +285,13 @@ class EstimateScheduler:
         *,
         window_seconds: float = 0.002,
         max_batch_paths: int = 512,
-        min_coalesce_paths: int = 64,
         max_pending: int = 4096,
         max_pending_per_graph: Optional[int] = None,
-        stats: Optional[ServiceStats] = None,
     ) -> None:
         if window_seconds < 0:
             raise ServingError("window_seconds must be >= 0")
         if max_batch_paths < 1:
             raise ServingError("max_batch_paths must be >= 1")
-        if min_coalesce_paths < 1:
-            raise ServingError("min_coalesce_paths must be >= 1")
         if max_pending < 1:
             raise ServingError("max_pending must be >= 1")
         if max_pending_per_graph is not None and max_pending_per_graph < 1:
@@ -306,7 +299,6 @@ class EstimateScheduler:
         self._registry = registry
         self._window = window_seconds
         self._max_batch_paths = max_batch_paths
-        self._min_coalesce_paths = min_coalesce_paths
         self._queue: "queue.Queue[object]" = queue.Queue(maxsize=max_pending)
         self._closed = threading.Event()
         self._max_pending_per_graph = max_pending_per_graph
@@ -316,7 +308,7 @@ class EstimateScheduler:
         # its unresolved futures when the worker crashes.  Only the worker
         # thread reads or writes it, so no lock is needed.
         self._active_batch: Optional[list[_Request]] = None
-        self.stats = stats if stats is not None else ServiceStats()
+        self.stats = ServiceStats()
         # Scrape-time gauge: queue depth is read live from the queue rather
         # than written on every put/get (replace-on-register makes the
         # newest scheduler the one /metrics shows).
@@ -338,10 +330,6 @@ class EstimateScheduler:
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    def submit(self, graph: str, path: PathLike) -> "Future[object]":
-        """Queue one point estimate; the future resolves to a ``float``."""
-        return self._enqueue(_Request(graph, [path], scalar=True))
-
     def submit_many(
         self, graph: str, paths: Sequence[PathLike]
     ) -> "Future[object]":
@@ -350,7 +338,7 @@ class EstimateScheduler:
         The batch stays one request: it is never split, and its paths all
         resolve against the same session in the same ``estimate_batch`` call.
         """
-        return self._enqueue(_Request(graph, list(paths), scalar=False))
+        return self._enqueue(_Request(graph, list(paths)))
 
     def _enqueue(self, request: _Request) -> "Future[object]":
         started = time.perf_counter()
@@ -497,7 +485,7 @@ class EstimateScheduler:
                     # next request only comes after this batch answers)
                     # would otherwise pay the full window on every round
                     # with nothing to show for it.
-                    if total_paths >= self._min_coalesce_paths:
+                    if total_paths >= MIN_COALESCE_PATHS:
                         break
                     remaining = deadline - time.perf_counter()
                     if remaining <= 0:
@@ -606,10 +594,7 @@ class EstimateScheduler:
         offset = 0
         for request in requests:
             count = len(request.paths)
-            if request.scalar:
-                deliveries.append((request, True, values[offset]))
-            else:
-                deliveries.append((request, True, values[offset : offset + count]))
+            deliveries.append((request, True, values[offset : offset + count]))
             offset += count
         return deliveries
 
@@ -624,10 +609,7 @@ class EstimateScheduler:
                 self.stats.observe_error()
                 deliveries.append((request, False, exc))
                 continue
-            if request.scalar:
-                deliveries.append((request, True, float(estimates[0])))
-            else:
-                deliveries.append((request, True, estimates.tolist()))
+            deliveries.append((request, True, estimates.tolist()))
         return deliveries
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import logging.handlers
 import threading
 import time
 import urllib.error
@@ -19,12 +21,14 @@ from repro.exceptions import (
     ServiceRequestError,
 )
 from repro.graph.generators import zipf_labeled_graph
+from repro.graph.io import write_edge_list
 from repro.serving import (
     EstimateScheduler,
     ServiceClient,
     SessionRegistry,
     make_server,
 )
+from repro.serving import http as serving_http
 from repro.retry import RetryState
 from repro.testing import injector
 
@@ -79,11 +83,11 @@ class TestSchedulerSupervision:
             with injector.armed(
                 "scheduler.worker", error=RuntimeError("chaos"), times=1
             ):
-                future = scheduler.submit("g", "1/2")
+                future = scheduler.submit_many("g", ["1/2"])
                 with pytest.raises(SchedulerCrashError, match="worker crashed"):
                     future.result(timeout=5)
             # No stranded futures, and the restarted worker keeps serving.
-            assert scheduler.submit("g", "1/2").result(timeout=5) > 0
+            assert scheduler.submit_many("g", ["1/2"]).result(timeout=5)[0] > 0
             snapshot = scheduler.stats.snapshot()
             assert snapshot["worker_restarts"] == 1
             assert snapshot["crashed_requests_total"] >= 1
@@ -94,10 +98,10 @@ class TestSchedulerSupervision:
                 "scheduler.worker", error=lambda: RuntimeError("chaos"), times=3
             ):
                 for _ in range(3):
-                    future = scheduler.submit("g", "2")
+                    future = scheduler.submit_many("g", ["2"])
                     with pytest.raises(SchedulerCrashError):
                         future.result(timeout=5)
-            assert scheduler.submit("g", "2").result(timeout=5) > 0
+            assert scheduler.submit_many("g", ["2"]).result(timeout=5)[0] > 0
             assert scheduler.stats.snapshot()["worker_restarts"] == 3
 
     def test_http_layer_maps_crash_to_retryable_503(self, server):
@@ -117,15 +121,15 @@ class TestPerGraphAdmission:
         try:
             scheduler.registry.get("g")  # pre-build: the delay is the only stall
             with injector.armed("scheduler.worker", delay=0.4, times=1):
-                first = scheduler.submit("g", "1/2")
+                first = scheduler.submit_many("g", ["1/2"])
                 _wait_for(lambda: injector.fired("scheduler.worker") == 1)
                 with pytest.raises(GraphOverloadedError) as excinfo:
-                    scheduler.submit("g", "2")
+                    scheduler.submit_many("g", ["2"])
                 assert excinfo.value.graph == "g"
                 assert excinfo.value.budget == 1
-                assert first.result(timeout=5) > 0
+                assert first.result(timeout=5)[0] > 0
             # Budget released with the batch: submissions flow again.
-            assert scheduler.submit("g", "2").result(timeout=5) > 0
+            assert scheduler.submit_many("g", ["2"]).result(timeout=5)[0] > 0
             assert scheduler.stats.snapshot()["rejected_graph_total"] == 1
         finally:
             scheduler.close()
@@ -418,3 +422,67 @@ class TestGracefulClose:
         thread = threading.Thread(target=_close, daemon=True)
         thread.start()
         assert done.wait(timeout=5), "close() hung without a serve loop"
+
+
+class TestFaultBarrier:
+    def test_unexpected_route_fault_is_a_500_envelope_on_a_live_connection(self, tmp_path):
+        edges = tmp_path / "g.tsv"
+        write_edge_list(zipf_labeled_graph(30, 100, 3, skew=1.0, seed=7, name="g"), edges)
+        registry = SessionRegistry(default_config=CONFIG)
+        registry.register("g", path=edges)
+        edges.unlink()  # before the first build: every load raises FileNotFoundError
+        server = make_server(registry, port=0, window_seconds=0.001)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        sockets = set()
+        try:
+            for route, document in (
+                ("/v1/warm", {"graph": "g"}),
+                ("/v1/update", {"graph": "g", "add": [["a", "1", "b"]]}),
+            ):
+                connection.request("POST", route, body=json.dumps(document))
+                response = connection.getresponse()
+                envelope = json.loads(response.read())
+                assert response.status == 500, route
+                assert envelope["code"] == "internal"
+                assert "FileNotFoundError" in envelope["error"]
+                assert envelope["request_id"]
+                sockets.add(connection.sock)
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().status == 200
+            sockets.add(connection.sock)
+            assert len(sockets) == 1  # one keep-alive connection throughout
+        finally:
+            connection.close()
+            server.shutdown()
+            server.close()
+            thread.join(timeout=10)
+
+    @pytest.mark.parametrize(
+        ("fault", "status", "code"),
+        [
+            ({"point": "registry.build", "error": RuntimeError("boom")}, 500, "internal"),
+            ({"point": "scheduler.worker", "delay": 0.5}, 504, "timeout"),
+        ],
+        ids=["internal", "timeout"],
+    )
+    def test_estimate_fault_rows(self, server, monkeypatch, fault, status, code):
+        monkeypatch.setattr(serving_http, "REQUEST_TIMEOUT_SECONDS", 0.1)
+        logged = logging.handlers.BufferingHandler(capacity=1000)
+        logger = logging.getLogger("repro.serving")
+        logger.addHandler(logged)
+        try:
+            with injector.armed(**fault, times=1):
+                client = ServiceClient(_url(server), max_retries=0)
+                with pytest.raises(ServiceRequestError) as excinfo:
+                    client.estimate("g", ["1/2"])
+        finally:
+            logger.removeHandler(logged)
+        assert excinfo.value.status == status
+        assert excinfo.value.code == code
+        assert excinfo.value.envelope["request_id"]
+        # Only the 500 row logs, with the traceback.
+        tracebacks = [record for record in logged.buffer if record.exc_info]
+        assert len(tracebacks) == (1 if status == 500 else 0)

@@ -35,8 +35,8 @@ class TestCoalescing:
         session = registry.get("g")
         domain = [str(path) for path in enumerate_label_paths(session.catalog.labels, 2)]
         with EstimateScheduler(registry, window_seconds=0.05) as scheduler:
-            futures = [scheduler.submit("g", path) for path in domain]
-            got = [future.result(timeout=10) for future in futures]
+            futures = [scheduler.submit_many("g", [path]) for path in domain]
+            got = [future.result(timeout=10)[0] for future in futures]
         expected = session.estimate_batch(domain)
         assert np.allclose(got, expected)
         snapshot = scheduler.stats.snapshot()
@@ -62,12 +62,12 @@ class TestCoalescing:
         expected_h = registry.get("h").estimate_batch(["1/2", "2"])
         with EstimateScheduler(registry, window_seconds=0.05) as scheduler:
             futures = [
-                scheduler.submit("g", "1/2"),
-                scheduler.submit("h", "1/2"),
-                scheduler.submit("g", "2"),
-                scheduler.submit("h", "2"),
+                scheduler.submit_many("g", ["1/2"]),
+                scheduler.submit_many("h", ["1/2"]),
+                scheduler.submit_many("g", ["2"]),
+                scheduler.submit_many("h", ["2"]),
             ]
-            got = [future.result(timeout=10) for future in futures]
+            got = [future.result(timeout=10)[0] for future in futures]
         assert got[0] == pytest.approx(expected_g[0])
         assert got[2] == pytest.approx(expected_g[1])
         assert got[1] == pytest.approx(expected_h[0])
@@ -78,7 +78,7 @@ class TestCoalescing:
         with EstimateScheduler(
             registry, window_seconds=0.05, max_batch_paths=4
         ) as scheduler:
-            futures = [scheduler.submit("g", "1/2") for _ in range(16)]
+            futures = [scheduler.submit_many("g", ["1/2"]) for _ in range(16)]
             for future in futures:
                 future.result(timeout=10)
         snapshot = scheduler.stats.snapshot()
@@ -90,18 +90,18 @@ class TestErrorIsolation:
     def test_unknown_graph_fails_only_its_requests(self, registry):
         expected = registry.get("g").estimate("1/2")
         with EstimateScheduler(registry, window_seconds=0.05) as scheduler:
-            good = scheduler.submit("g", "1/2")
-            bad = scheduler.submit("missing", "1/2")
-            assert good.result(timeout=10) == pytest.approx(expected)
+            good = scheduler.submit_many("g", ["1/2"])
+            bad = scheduler.submit_many("missing", ["1/2"])
+            assert good.result(timeout=10)[0] == pytest.approx(expected)
             with pytest.raises(UnknownGraphError):
                 bad.result(timeout=10)
 
     def test_invalid_path_fails_only_its_request(self, registry):
         expected = registry.get("g").estimate("1/2")
         with EstimateScheduler(registry, window_seconds=0.05) as scheduler:
-            good = scheduler.submit("g", "1/2")
-            bad = scheduler.submit("g", "99/77")
-            assert good.result(timeout=10) == pytest.approx(expected)
+            good = scheduler.submit_many("g", ["1/2"])
+            bad = scheduler.submit_many("g", ["99/77"])
+            assert good.result(timeout=10)[0] == pytest.approx(expected)
             with pytest.raises(KeyError):
                 bad.result(timeout=10)
         assert scheduler.stats.snapshot()["errors_total"] == 1
@@ -125,17 +125,17 @@ class TestBackpressure:
         )
         try:
             # The worker dequeues this request and blocks inside the build...
-            blocked = scheduler.submit("slow", "1/2")
+            blocked = scheduler.submit_many("slow", ["1/2"])
             assert started.wait(timeout=10)
             # ...so these fill the bounded queue...
-            queued = [scheduler.submit("slow", "1/2") for _ in range(4)]
+            queued = [scheduler.submit_many("slow", ["1/2"]) for _ in range(4)]
             # ...and the next submission is rejected, not buffered.
             with pytest.raises(ServiceOverloadedError):
-                scheduler.submit("slow", "1/2")
+                scheduler.submit_many("slow", ["1/2"])
             assert scheduler.stats.snapshot()["rejected_total"] == 1
             release.set()
             for future in [blocked, *queued]:
-                assert future.result(timeout=30) >= 0.0
+                assert future.result(timeout=30)[0] >= 0.0
         finally:
             release.set()
             scheduler.close()
@@ -144,22 +144,22 @@ class TestBackpressure:
         scheduler = EstimateScheduler(registry, window_seconds=0.0)
         scheduler.close()
         with pytest.raises(ServiceClosedError):
-            scheduler.submit("g", "1/2")
+            scheduler.submit_many("g", ["1/2"])
 
     def test_close_drains_queued_work(self, registry):
         registry.get("g")
         scheduler = EstimateScheduler(registry, window_seconds=0.2)
-        futures = [scheduler.submit("g", "1/2") for _ in range(8)]
+        futures = [scheduler.submit_many("g", ["1/2"]) for _ in range(8)]
         scheduler.close(timeout=30)
         for future in futures:
-            assert future.result(timeout=0.1) >= 0.0
+            assert future.result(timeout=0.1)[0] >= 0.0
 
 
 class TestStats:
     def test_latency_counters_populate(self, registry):
         registry.get("g")
         with EstimateScheduler(registry, window_seconds=0.01) as scheduler:
-            futures = [scheduler.submit("g", "1/2") for _ in range(8)]
+            futures = [scheduler.submit_many("g", ["1/2"]) for _ in range(8)]
             for future in futures:
                 future.result(timeout=10)
             time.sleep(0.01)
@@ -185,13 +185,13 @@ class TestCloseRace:
         scheduler = EstimateScheduler(registry, window_seconds=0.0)
         # The worker dequeues the first request and blocks in the build;
         # the next two sit in the queue when close() gives up joining.
-        in_flight = scheduler.submit("slow", "1/2")
+        in_flight = scheduler.submit_many("slow", ["1/2"])
         time.sleep(0.05)
-        stranded = [scheduler.submit("slow", "1/2") for _ in range(2)]
+        stranded = [scheduler.submit_many("slow", ["1/2"]) for _ in range(2)]
         scheduler.close(timeout=0.2)
         for future in stranded:
             with pytest.raises(ServiceClosedError):
                 future.result(timeout=5)
         # The in-flight request still completes once the build unblocks.
         release.set()
-        assert in_flight.result(timeout=30) >= 0.0
+        assert in_flight.result(timeout=30)[0] >= 0.0
